@@ -16,8 +16,10 @@
 //
 // The module executes as a deterministic discrete-tick simulation:
 // application processes are goroutines running ordinary APEX-calling Go
-// code, stepped by the kernel one logical tick at a time, so every temporal
-// property of the paper is observable and bit-exact reproducible.
+// code in strict alternation with the kernel, which advances one logical
+// tick at a time and pays the ticks spent in Compute without waking the
+// process, so every temporal property of the paper is observable and
+// bit-exact reproducible.
 //
 // # Quick start
 //

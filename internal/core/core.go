@@ -5,9 +5,12 @@
 // deterministic discrete-tick simulation.
 //
 // Application processes are real goroutines running imperative APEX-calling
-// code, but execution is strictly alternated: the kernel grants the
-// processor one logical tick at a time over a channel handshake, so exactly
-// one goroutine (the kernel or a single process) runs at any instant. This
+// code, but execution is strictly alternated: the kernel grants a process
+// goroutine the processor over a channel handshake only when body code is
+// to run, so exactly one goroutine (the kernel or a single process) runs at
+// any instant. The ticks a process spends inside Services.Compute run no
+// body code; the kernel accounts them itself as compute credit, one per
+// dispatch, and grants the goroutine again when Compute returns. This
 // yields natural ARINC 653 application code and bit-exact determinism.
 package core
 
@@ -34,8 +37,10 @@ import (
 type InitFunc func(sv *Services)
 
 // ProcessBody is the application code of a process. It runs on its own
-// goroutine under the strict-alternation protocol; returning from the body
-// stops the process (dormant state).
+// goroutine under the strict-alternation protocol: the goroutine holds the
+// processor only while body code runs, and the ticks it spends in
+// Services.Compute are consumed kernel-side without waking it. Returning
+// from the body stops the process (dormant state).
 type ProcessBody func(sv *Services)
 
 // ErrorHandler is a partition's application error handler, invoked by the

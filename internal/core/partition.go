@@ -57,6 +57,10 @@ type procRuntime struct {
 	// (DELAYED_START), which snapshot quiescence validation treats as
 	// fork-safe — the fork re-enters the body from the top.
 	everGranted bool
+	// credit counts the ticks still owed by the Services.Compute call the
+	// goroutine is parked in. The kernel consumes them on dispatch without
+	// granting the goroutine, which runs again only when body code follows.
+	credit tick.Ticks
 }
 
 func (rt *procRuntime) waitGrant() {
@@ -431,6 +435,14 @@ func (pt *Partition) runOneTick() {
 		if rt == nil || !rt.alive {
 			// Model-only process: consumes the tick with no observable
 			// effect (a pure CPU burner used in analysis/benchmarks).
+			return
+		}
+		if rt.credit > 0 {
+			// Mid-Compute: no body code runs this tick, and every pending
+			// kernel op is raised by a goroutine that then terminates, so
+			// none can be waiting here.
+			rt.credit--
+			pt.noteTickConsumed()
 			return
 		}
 		rt.everGranted = true

@@ -76,14 +76,16 @@ func (sv *Services) GetTime() tick.Ticks { return sv.mod.now }
 
 // Compute consumes n ticks of processor time — the simulation's model of
 // application computation. It is the only way application code spends time.
+// The calling goroutine yields once: the first tick is consumed here and the
+// remaining n-1 are left as credit that the kernel consumes on the following
+// dispatches, granting the goroutine again only for the code after Compute.
 func (sv *Services) Compute(n tick.Ticks) {
-	if !sv.inProcess() {
+	if !sv.inProcess() || n <= 0 {
 		return
 	}
-	for i := tick.Ticks(0); i < n; i++ {
-		sv.rt.yield <- yieldConsumed
-		sv.rt.waitGrant()
-	}
+	sv.rt.credit = n - 1
+	sv.rt.yield <- yieldConsumed
+	sv.rt.waitGrant()
 }
 
 // TimedWait implements TIMED_WAIT: the process waits for at least the given

@@ -137,6 +137,10 @@ func (pt *Partition) forkableNow() error {
 			return fmt.Errorf("%w: partition %s live process %s has no forkable body",
 				ErrNotForkable, pt.name, proc.Spec.Name)
 		}
+		if rt.credit != 0 {
+			return fmt.Errorf("%w: partition %s process %s is mid-Compute with %d ticks of credit owed",
+				ErrNotForkable, pt.name, proc.Spec.Name, rt.credit)
+		}
 		if proc.State != model.StateWaiting {
 			return fmt.Errorf("%w: partition %s process %s is %s (not quiescent)",
 				ErrNotForkable, pt.name, proc.Spec.Name, proc.State)
