@@ -59,8 +59,9 @@ type Snapshot struct {
 
 // Snapshot validates that the module is at a quiescent, forkable point and
 // freezes it. The parent module remains usable, but stepping it invalidates
-// the snapshot's fork guarantees (forks taken afterwards would copy the
-// advanced state instead).
+// the snapshot's fork guarantees: forks taken afterwards would start from
+// the advanced state and share memory pages the parent now writes in place.
+// Take a fresh Snapshot before forking again.
 func (m *Module) Snapshot() (*Snapshot, error) {
 	if err := m.forkableNow(); err != nil {
 		return nil, err
@@ -68,6 +69,10 @@ func (m *Module) Snapshot() (*Snapshot, error) {
 	// Hand staged batched events to the sinks so forks start from a clean
 	// staging buffer and the cloned ring holds the full prefix trace.
 	m.bus.Flush()
+	// Forks share the parent's memory pages copy-on-write; freezing makes a
+	// parent stepped after the snapshot copy a page before writing it, so
+	// its writes never reach forks already taken.
+	m.memory.Freeze()
 	return &Snapshot{parent: m}, nil
 }
 

@@ -2,28 +2,29 @@ package mmu
 
 import "air/internal/model"
 
-// Clone returns a deep copy of the MMU and its simulated physical memory
-// for module snapshot/fork. The backing store grows lazily (see MMU.mem),
-// so the clone allocates and copies exactly the allocated frames — never
-// the full simulated physical size; a fork that maps further memory regrows
-// its own backing. Page tables are rebuilt node-by-node (all entries are plain
-// values), and the TLB plus its statistics are value-copied so a fork's
-// hit/miss profile replays exactly. Device ranges share the parent's Device
-// implementations — device models carry external state the MMU cannot copy,
-// so callers that need fork isolation must not map devices (the core
-// snapshot layer rejects them).
+// Clone returns an independent copy of the MMU and its simulated physical
+// memory for module snapshot/fork. The clone shares every page with the
+// parent and owns none, so its first write to a page copies that page
+// (copy-on-write): forking costs one pointer per allocated frame, never the
+// frames' bytes. Clone only reads the parent, so concurrent clones are safe;
+// the parent must Freeze before it writes again, or in-place writes to the
+// pages it owns would show in the clone. Page tables are rebuilt
+// node-by-node (all entries are plain values), and the TLB plus its
+// statistics are value-copied so a fork's hit/miss profile replays exactly.
+// Device ranges share the parent's Device implementations — device models
+// carry external state the MMU cannot copy, so callers that need fork
+// isolation must not map devices (the core snapshot layer rejects them).
 func (m *MMU) Clone() *MMU {
 	c := &MMU{
-		mem:       make([]byte, m.nextFrame),
-		size:      m.size,
-		nextFrame: m.nextFrame,
-		contexts:  make(map[model.PartitionName]*context, len(m.contexts)),
-		current:   m.current,
-		hasCtx:    m.hasCtx,
-		tlb:       m.tlb,
-		tlbStats:  m.tlbStats,
+		frames:   append([]*[PageSize]byte(nil), m.frames...),
+		owned:    make([]uint64, len(m.owned)),
+		size:     m.size,
+		contexts: make(map[model.PartitionName]*context, len(m.contexts)),
+		current:  m.current,
+		hasCtx:   m.hasCtx,
+		tlb:      m.tlb,
+		tlbStats: m.tlbStats,
 	}
-	copy(c.mem[:m.nextFrame], m.mem[:m.nextFrame])
 	for name, ctx := range m.contexts { //air:allow(maprange): one-shot fork assembly off the hot path; order-insensitive copy
 		c.contexts[name] = ctx.clone()
 	}

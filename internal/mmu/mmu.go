@@ -229,17 +229,20 @@ type TLBStats struct {
 // MMU is the simulated memory management unit together with the simulated
 // physical memory it fronts.
 type MMU struct {
-	// mem is the backing store for the simulated physical memory. It grows
-	// lazily toward size as frames are allocated: a module maps a few
-	// hundred KiB of a default 16 MiB physical space, and eagerly zeroing
-	// the rest dominated module construction — and, worse, module fork,
-	// which clones the MMU per campaign variant.
-	mem       []byte
-	size      int // simulated physical capacity in bytes (≥ len(mem))
-	nextFrame PhysAddr
-	contexts  map[model.PartitionName]*context
-	current   model.PartitionName
-	hasCtx    bool
+	// frames is the simulated physical memory as a page store, one page per
+	// allocated frame: frame i holds physical addresses [i*PageSize,
+	// (i+1)*PageSize). A nil page has never been written and reads as zero,
+	// so mapping a partition's space allocates page tables, not RAM. Pages
+	// are shared copy-on-write with clones: bit i of owned says this MMU
+	// made frames[i] itself since it was cloned or last frozen, so it may
+	// write the page in place; any other write first copies the page (see
+	// writable).
+	frames   []*[PageSize]byte
+	owned    []uint64
+	size     int // simulated physical capacity in bytes
+	contexts map[model.PartitionName]*context
+	current  model.PartitionName
+	hasCtx   bool
 
 	// tlb caches current-context translations; it is flushed on every
 	// context switch, exactly like the hardware it models. Explicit-context
@@ -270,12 +273,6 @@ func New(size int) *MMU {
 		contexts: make(map[model.PartitionName]*context),
 	}
 }
-
-// minBacking is the backing store's initial allocation (64 pages): large
-// enough that a typical four-partition module never regrows, small enough
-// that constructing or cloning a module touches KiB, not the full
-// simulated physical size.
-const minBacking = 64 * PageSize
 
 // MapSpace installs a partition's addressing space: for each descriptor,
 // physical frames are allocated and the three-level page table populated.
@@ -320,30 +317,39 @@ func (m *MMU) mapDescriptor(ctx *context, d Descriptor) error {
 	return nil
 }
 
+// allocFrame numbers the next physical frame. Its page stays nil until the
+// first write.
 func (m *MMU) allocFrame() (PhysAddr, error) {
-	need := int(m.nextFrame) + PageSize
-	if need > m.size {
+	f := len(m.frames)
+	if (f+1)*PageSize > m.size {
 		return 0, ErrOutOfMemory
 	}
-	if need > len(m.mem) {
-		grown := len(m.mem) * 2
-		if grown < minBacking {
-			grown = minBacking
-		}
-		for grown < need {
-			grown *= 2
-		}
-		if grown > m.size {
-			grown = m.size
-		}
-		buf := make([]byte, grown)
-		copy(buf, m.mem[:m.nextFrame])
-		m.mem = buf
+	m.frames = append(m.frames, nil)
+	if f%64 == 0 {
+		m.owned = append(m.owned, 0)
 	}
-	f := m.nextFrame
-	m.nextFrame += PageSize
-	return f, nil
+	return PhysAddr(f * PageSize), nil
 }
+
+// writable returns frame f's page for an in-place write, first copying it
+// into a fresh page this MMU owns when it is unwritten or shared.
+func (m *MMU) writable(f int) *[PageSize]byte {
+	word, bit := f/64, uint64(1)<<(f%64)
+	if m.owned[word]&bit == 0 {
+		pg := new([PageSize]byte)
+		if shared := m.frames[f]; shared != nil {
+			*pg = *shared
+		}
+		m.frames[f] = pg
+		m.owned[word] |= bit
+	}
+	return m.frames[f]
+}
+
+// Freeze gives up ownership of every page, so the next write to each copies
+// it first. Call it before writing again after a Clone: pages the parent
+// owned are shared with the clone, and an in-place write would show there.
+func (m *MMU) Freeze() { clear(m.owned) }
 
 // walk returns the level-3 entry for va, or nil if any intermediate table is
 // absent.
@@ -538,10 +544,14 @@ func (m *MMU) access(p model.PartitionName, hasCtx bool, va VirtAddr, buf []byte
 		if n > len(remaining) {
 			n = len(remaining)
 		}
-		if mode == Write {
-			copy(m.mem[pa:int(pa)+n], remaining[:n])
-		} else {
-			copy(remaining[:n], m.mem[pa:int(pa)+n])
+		f, off := int(pa/PageSize), int(pa&pageOffset)
+		switch pg := m.frames[f]; {
+		case mode == Write:
+			copy(m.writable(f)[off:off+n], remaining[:n])
+		case pg == nil:
+			clear(remaining[:n])
+		default:
+			copy(remaining[:n], pg[off:off+n])
 		}
 		va += VirtAddr(n)
 		remaining = remaining[n:]
@@ -585,4 +595,4 @@ func (m *MMU) MappedPages(p model.PartitionName) int {
 }
 
 // FreeBytes returns the unallocated simulated physical memory.
-func (m *MMU) FreeBytes() int { return m.size - int(m.nextFrame) }
+func (m *MMU) FreeBytes() int { return m.size - len(m.frames)*PageSize }
