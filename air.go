@@ -18,7 +18,9 @@
 // application processes are goroutines running ordinary APEX-calling Go
 // code in strict alternation with the kernel, which advances one logical
 // tick at a time and pays the ticks spent in Compute without waking the
-// process, so every temporal property of the paper is observable and
+// process. Module.Run skips in one step the quiet ticks where nothing but
+// the clock and that compute credit changes, reaching the same state as
+// stepping them, so every temporal property of the paper is observable and
 // bit-exact reproducible.
 //
 // # Quick start

@@ -23,6 +23,8 @@ package air
 //	    BenchmarkModelVerify             formal model verification.
 //	E*  BenchmarkModuleTick*           — full module cost per tick for the
 //	    Sect. 6 prototype, nominal and with the injected fault.
+//	    BenchmarkModuleMTF{Step,Run}   — one faulty MTF stepped tick by tick
+//	                                     vs one Run with quiet-tick fast-forward.
 
 import (
 	"fmt"
@@ -607,6 +609,45 @@ func BenchmarkModuleTickArchiveSink(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchModuleMTF advances the Sect. 6 module with the P1 fault by one
+// 1300-tick MTF per iteration, through advance.
+func benchModuleMTF(b *testing.B, advance func(m *core.Module, mtf tick.Ticks) error) {
+	m, err := core.NewModule(workload.Config(workload.Options{TraceCapacity: -1, InjectFault: true}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Shutdown()
+	if err := m.Start(); err != nil {
+		b.Fatal(err)
+	}
+	mtf := model.Fig8System().Schedules[0].MTF
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := advance(m, mtf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkModuleMTFStep: one faulty MTF by 1300 Step calls — every tick
+// through the full pipeline, the baseline for BenchmarkModuleMTFRun.
+func BenchmarkModuleMTFStep(b *testing.B) {
+	benchModuleMTF(b, func(m *core.Module, mtf tick.Ticks) error {
+		for i := tick.Ticks(0); i < mtf; i++ {
+			if err := m.Step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// BenchmarkModuleMTFRun: the same MTF by one Run(1300), which steps only
+// the ticks where something happens and fast-forwards over the rest.
+func BenchmarkModuleMTFRun(b *testing.B) {
+	benchModuleMTF(b, (*core.Module).Run)
 }
 
 // BenchmarkMulticoreTick: one global tick of a dual-core module (two full

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +30,12 @@ type Sink struct {
 	buf []byte   // staging buffer (preallocated, flushed before full)
 
 	manifest Manifest
+	// catalog caches the manifest's rendered segments array, minus its
+	// closing bracket, for the first rendered of manifest.Segments, so a
+	// seal marshals only the segment it adds. Segments a reopened archive
+	// already held are rendered at its first seal.
+	catalog  bytes.Buffer
+	rendered int
 	seq      uint64 // records appended overall (== last record's seq)
 
 	segNum     int    // 1-based number of the active segment
@@ -249,7 +256,13 @@ func (s *Sink) seal() {
 	}
 	s.manifest.Segments = append(s.manifest.Segments, meta)
 	s.manifest.Records += s.segRecords
-	if s.err = writeManifest(s.dir, s.manifest); s.err != nil {
+	for ; s.rendered < len(s.manifest.Segments); s.rendered++ {
+		if err := renderEntry(&s.catalog, s.rendered, s.manifest.Segments[s.rendered]); err != nil {
+			s.err = fmt.Errorf("archive: manifest: %w", err)
+			return
+		}
+	}
+	if s.err = writeManifest(s.dir, s.manifest, s.catalog.Bytes()); s.err != nil {
 		return
 	}
 	s.segNum++
@@ -258,19 +271,36 @@ func (s *Sink) seal() {
 	s.err = s.openSegment()
 }
 
-// writeManifest atomically replaces the catalog: write to a temp file, fsync
-// it, rename over the manifest.
-func writeManifest(dir string, m Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+// manifestEntryPrefix is the indentation of a segment entry inside the
+// manifest's segments array.
+const manifestEntryPrefix = "    "
+
+// renderEntry appends the i-th segment's entry to a catalog of the first i:
+// the separator before it and the segment indented as json.MarshalIndent
+// renders it inside the manifest's segments array.
+func renderEntry(catalog *bytes.Buffer, i int, seg SegmentMeta) error {
+	raw, err := json.Marshal(seg)
 	if err != nil {
-		return fmt.Errorf("archive: manifest: %w", err)
+		return err
 	}
+	if i == 0 {
+		catalog.WriteString("[\n" + manifestEntryPrefix)
+	} else {
+		catalog.WriteString(",\n" + manifestEntryPrefix)
+	}
+	return json.Indent(catalog, raw, manifestEntryPrefix, "  ")
+}
+
+// writeManifest atomically replaces the catalog: write to a temp file, fsync
+// it, rename over the manifest. catalog holds every segment of m rendered by
+// renderEntry.
+func writeManifest(dir string, m Manifest, catalog []byte) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("archive: manifest: %w", err)
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if err := encodeManifest(f, m, catalog); err != nil {
 		f.Close()
 		return fmt.Errorf("archive: manifest: %w", err)
 	}
@@ -285,6 +315,26 @@ func writeManifest(dir string, m Manifest) error {
 		return fmt.Errorf("archive: manifest: %w", err)
 	}
 	return nil
+}
+
+// encodeManifest streams the manifest's header, the rendered catalog of its
+// segments and the footer to w: the bytes of json.MarshalIndent(m, "", "  ")
+// plus a newline, without marshaling the segments again. The bufio.Writer
+// keeps the first write error, and Flush returns it.
+func encodeManifest(w io.Writer, m Manifest, catalog []byte) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\n  \"version\": %d,\n  \"records\": %d,\n  \"segments\": ", m.Version, m.Records)
+	switch {
+	case m.Segments == nil:
+		bw.WriteString("null")
+	case len(m.Segments) == 0:
+		bw.WriteString("[]")
+	default:
+		bw.Write(catalog)
+		bw.WriteString("\n  ]")
+	}
+	bw.WriteString("\n}\n")
+	return bw.Flush()
 }
 
 // Flush drains the staging buffer to the active segment (no seal, no fsync)

@@ -2,7 +2,12 @@
 // scheduler and dispatcher (Algorithms 1–2), one POS kernel + PAL per
 // partition, the APEX service implementations, Health Monitoring, spatial
 // partitioning contexts and interpartition communication — executed as a
-// deterministic discrete-tick simulation.
+// deterministic discrete-tick simulation. Step executes one tick through the
+// whole pipeline; Run advances many, stepping only the ticks where
+// something happens and fast-forwarding in one step over the quiet ticks
+// between them, where only the clock, the running process's compute credit
+// and the liveness watchdog's counter change. Both reach the same state and
+// emit the same events.
 //
 // Application processes are real goroutines running imperative APEX-calling
 // code, but execution is strictly alternated: the kernel grants a process
@@ -436,9 +441,19 @@ func (m *Module) Step() error {
 	return nil
 }
 
-// Run executes n ticks (stopping early if the module halts).
+// Run executes n ticks (stopping early if the module halts). Before each
+// Step it fast-forwards over the quiet ticks ahead: ticks on which Step
+// would change only the clock, the running process's compute credit and
+// the liveness watchdog's counter, and emit nothing. Those are accounted
+// in one step, so Run(n) ends in exactly the state n calls to Step reach
+// and every observer sees the same events, while the per-tick pipeline
+// runs only on ticks where something happens.
 func (m *Module) Run(n tick.Ticks) error {
-	for i := tick.Ticks(0); i < n; i++ {
+	for n > 0 {
+		n -= m.fastForward(n)
+		if n == 0 {
+			return nil
+		}
 		if err := m.Step(); err != nil {
 			if errors.Is(err, ErrHalted) {
 				return nil
@@ -448,8 +463,57 @@ func (m *Module) Run(n tick.Ticks) error {
 		if m.halted {
 			return nil
 		}
+		n--
 	}
 	return nil
+}
+
+// fastForward skips the quiet ticks ahead, at most limit of them, and
+// returns how many it skipped. A tick is quiet when every layer Step drives
+// answers, from state it already keeps, that the tick holds nothing for
+// it:
+//
+//   - the Partition Scheduler reaches no preemption point (compiled form
+//     only; the interpreted form reports none);
+//   - the recovery engine has no timer pending;
+//   - the active partition is an idle window, or its POS releases no
+//     waiting process, its PAL sees no deadline pass, and in normal mode
+//     the process dispatch is steady: nothing to run, a model-only process
+//     running, or a process running on compute credit that lasts and does
+//     not trip the liveness watchdog.
+//
+// Skipping then adds the ticks to the scheduler's counter and the module
+// clock, takes them from the running process's credit and feeds them to
+// the watchdog's counter — what Step does on each such tick, at once.
+func (m *Module) fastForward(limit tick.Ticks) tick.Ticks {
+	if !m.started || m.halted {
+		return 0
+	}
+	k := min(m.sched.QuietTicks(), limit)
+	if k <= 0 || (m.recov != nil && m.recov.TimerPending()) {
+		return 0
+	}
+	active := m.disp.Active()
+	if active != m.sched.Heir() {
+		return 0
+	}
+	var pt *Partition
+	var rt *procRuntime
+	if !active.Idle {
+		pt = m.partitions[active.Partition]
+		if k, rt = pt.quietTicks(m.now, k); k <= 0 {
+			return 0
+		}
+	}
+	m.sched.Skip(k)
+	m.now = m.sched.Ticks()
+	if rt != nil {
+		rt.credit -= k
+		if m.cfg.HangTicks > 0 {
+			pt.noProgress += k
+		}
+	}
+	return k
 }
 
 // Shutdown stops all process goroutines and halts the module. It is safe to

@@ -462,6 +462,40 @@ func (pt *Partition) runOneTick() {
 	}
 }
 
+// quietTicks bounds, from limit down, the number of upcoming ticks on which
+// this active partition's share of Step — PAL tick announce, and process
+// dispatch in normal mode — would change nothing beyond compute credit and
+// the watchdog's counter. No waiting process may wake and no deadline may
+// pass before the last of them; in normal mode the dispatch must be steady,
+// and a process running on credit must owe at least that many ticks without
+// reaching the hang threshold. The returned runtime is the one whose credit
+// pays for the ticks (nil when none is owed).
+func (pt *Partition) quietTicks(now, limit tick.Ticks) (tick.Ticks, *procRuntime) {
+	k := min(limit, pt.kernel.NextWake()-now-1)
+	if d, ok := pt.pal.EarliestDeadline(); ok {
+		k = min(k, d-now)
+	}
+	if k <= 0 || pt.mode != model.ModeNormal {
+		return k, nil
+	}
+	proc, ok := pt.kernel.Steady()
+	if !ok {
+		return 0, nil
+	}
+	if proc == nil {
+		return k, nil // nothing eligible: the window idles
+	}
+	rt := pt.runtimes[proc.ID]
+	if rt == nil || !rt.alive {
+		return k, nil // model-only process: consumes ticks with no effect
+	}
+	k = min(k, rt.credit)
+	if h := pt.mod.cfg.HangTicks; h > 0 {
+		k = min(k, h-1-pt.noProgress)
+	}
+	return k, rt
+}
+
 // noteTickConsumed feeds the partition liveness watchdog: a partition whose
 // processes consume granted ticks without ever completing or blocking is
 // hung in a way deadline monitoring cannot see (a spin with no

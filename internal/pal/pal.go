@@ -106,6 +106,14 @@ func (p *PAL) Deadlines() []Entry { return p.queue.Entries() }
 // Pending returns the number of registered deadlines.
 func (p *PAL) Pending() int { return p.queue.Len() }
 
+// EarliestDeadline returns the earliest registered deadline, in O(1) on
+// the list and heap queues. TickAnnounce reports no violation at any tick up
+// to and including it.
+func (p *PAL) EarliestDeadline() (tick.Ticks, bool) {
+	e, ok := p.queue.Earliest()
+	return e.Deadline, ok
+}
+
 // TickAnnounce is the modified surrogate clock tick announcement routine of
 // Fig. 7 and Algorithm 3. It is invoked by the core kernel with elapsed = 1
 // on every tick the partition is active, and with the number of ticks elapsed

@@ -170,6 +170,31 @@ func (s *Scheduler) Tick() bool {
 	return true
 }
 
+// QuietTicks returns how many upcoming ticks hold no partition preemption
+// point: Tick would return false on each of them and change nothing but the
+// tick counter. It reads the compiled offset table — the distance from the
+// current MTF offset to the offset the table iterator points at — so a
+// caller can account those ticks at once with Skip. A pending schedule
+// switch needs no check: it commits only at offset 0, which is always a
+// preemption point. The interpreted reference form reports 0, so a module
+// running it still steps every tick and stays the per-tick oracle the
+// compiled form is diffed against.
+func (s *Scheduler) QuietTicks() tick.Ticks {
+	if s.interpreted || !s.started {
+		return 0
+	}
+	off := (s.ticks - s.lastSwitch) % s.mtf
+	gap := (s.offsets[s.tableIterator] - off + s.mtf) % s.mtf
+	if gap == 0 {
+		gap = s.mtf
+	}
+	return gap - 1
+}
+
+// Skip accounts n quiet ticks at once: the same state as n calls to Tick
+// that each return false. n must not exceed QuietTicks.
+func (s *Scheduler) Skip(n tick.Ticks) { s.ticks += n }
+
 // commitSwitch performs Algorithm 1 lines 4–6 in compiled form and arms the
 // dense per-partition restart actions for the new schedule; the Dispatcher
 // performs each partition's action the first time that partition is

@@ -468,6 +468,41 @@ func (k *Kernel) ClockAnnounce(now tick.Ticks) []*Process {
 	return released
 }
 
+// NextWake returns the earliest instant at which ClockAnnounce releases a
+// waiting process — a delay or period expiring, or an object wait timing
+// out — or tick.Infinity when no unsuspended process waits on a bounded
+// wait. ClockAnnounce at any earlier instant changes nothing.
+func (k *Kernel) NextWake() tick.Ticks {
+	next := tick.Infinity
+	for _, p := range k.procs {
+		if p.State == model.StateWaiting && !p.Suspended && p.WakeAt < next {
+			next = p.WakeAt
+		}
+	}
+	return next
+}
+
+// Steady reports whether Dispatch would change nothing and emit nothing:
+// under the priority policy, either no process is eligible and none is
+// marked running, or the heir is already the running process. Until a
+// process wakes or a kernel service is called, every later Dispatch makes
+// the same decision. The running process is returned (nil when the
+// partition idles). Round-robin moves its rotation cursor on every
+// dispatch, so it is never steady.
+func (k *Kernel) Steady() (*Process, bool) {
+	if k.policy == PolicyRoundRobin {
+		return nil, false
+	}
+	heir, ok := k.Heir()
+	if !ok {
+		return nil, k.running == InvalidProcess
+	}
+	if heir.ID != k.running || heir.State != model.StateRunning {
+		return nil, false
+	}
+	return heir, true
+}
+
 // Heir selects the heir process per eq. (14): the highest-priority eligible
 // process, ties broken by antiquity in the ready state; under round-robin,
 // ready processes rotate. It returns false if Ready_m(t) is empty.

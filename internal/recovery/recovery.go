@@ -455,6 +455,22 @@ func (e *Engine) OnTick(now tick.Ticks) {
 	e.tickRestore(now)
 }
 
+// TimerPending reports whether OnTick can act at some later tick without a
+// new request: a deferred restart, a quarantine cooldown, a half-open probe
+// or a degraded-mode restore is pending. Without one, OnTick changes
+// nothing at any tick.
+func (e *Engine) TimerPending() bool {
+	if e.deg.active {
+		return true
+	}
+	for _, st := range e.parts {
+		if st.status != StatusNormal {
+			return true
+		}
+	}
+	return false
+}
+
 // NoteModuleError escalates to the ladder's first rung on a module-level
 // error, when the policy requests it.
 func (e *Engine) NoteModuleError(now tick.Ticks) {

@@ -404,3 +404,83 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestTimerPending pins the check Module.Run's quiet-tick fast-forward
+// relies on: in every state where OnTick can act without a new request — a
+// deferred restart, a quarantine cooldown, a half-open probe, a pending
+// nominal-schedule restore — TimerPending is true, so no tick counts as
+// quiet; it is false only where OnTick does nothing.
+func TestTimerPending(t *testing.T) {
+	check := func(t *testing.T, e *Engine, want bool, state string) {
+		t.Helper()
+		if got := e.TimerPending(); got != want {
+			t.Fatalf("%s: TimerPending() = %v, want %v", state, got, want)
+		}
+	}
+
+	t.Run("deferred", func(t *testing.T) {
+		h := newHarness(t, Policy{Default: Budget{MaxRestarts: 1, Window: 100, BackoffBase: 10}})
+		e := h.engine
+		check(t, e, false, "fresh engine")
+		e.RequestRestart("P1", model.ModeColdStart)
+		check(t, e, false, "after a granted restart")
+		h.now = 5
+		if d := e.RequestRestart("P1", model.ModeColdStart); d.Verdict != VerdictDefer {
+			t.Fatalf("over budget: %v", d.Verdict)
+		}
+		check(t, e, true, "restart deferred")
+		e.OnTick(14)
+		check(t, e, true, "one tick before the resume")
+		e.OnTick(15)
+		check(t, e, false, "deferred restart resumed")
+	})
+
+	t.Run("quarantine_probe_restore", func(t *testing.T) {
+		h := newHarness(t, Policy{
+			Quarantine: Quarantine{Failures: 1, FailureWindow: 50, Cooldown: 100, ProbeTicks: 10},
+			Degradation: Degradation{
+				Ladder:       []Rung{{Quarantined: 1, Schedule: "safe"}},
+				RestoreAfter: 40,
+			},
+		})
+		e := h.engine
+		e.RequestRestart("P1", model.ModeColdStart)
+		h.now = 10
+		if d := e.RequestRestart("P1", model.ModeColdStart); d.Verdict != VerdictQuarantine {
+			t.Fatalf("failed recovery: %v", d.Verdict)
+		}
+		check(t, e, true, "quarantined")
+		e.OnTick(110)
+		if e.StatusOf("P1") != StatusHalfOpen {
+			t.Fatalf("status = %v, want half-open", e.StatusOf("P1"))
+		}
+		check(t, e, true, "half-open probe")
+		e.OnTick(120)
+		if e.StatusOf("P1") != StatusNormal || !e.Degraded() {
+			t.Fatalf("status = %v, degraded = %v", e.StatusOf("P1"), e.Degraded())
+		}
+		check(t, e, true, "nominal-schedule restore pending")
+		for tk := tick.Ticks(121); tk <= 160; tk++ {
+			e.OnTick(tk)
+		}
+		if e.Degraded() {
+			t.Fatal("nominal schedule not restored")
+		}
+		check(t, e, false, "restored")
+	})
+
+	t.Run("module_error_rung", func(t *testing.T) {
+		h := newHarness(t, Policy{
+			Degradation: Degradation{
+				Ladder:        []Rung{{Quarantined: 1, Schedule: "safe"}},
+				OnModuleError: true,
+				RestoreAfter:  20,
+			},
+		})
+		e := h.engine
+		e.NoteModuleError(0)
+		check(t, e, true, "degraded by a module error")
+		e.Reset()
+		check(t, e, false, "after Reset")
+	})
+}

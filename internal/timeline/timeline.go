@@ -22,6 +22,7 @@
 package timeline
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -730,29 +731,14 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		out.Archive = &a
 	}
 
-	parts := make(map[string]PartSnap, len(s.Partitions)+len(o.Partitions))
-	for _, lst := range [][]PartSnap{s.Partitions, o.Partitions} {
-		for _, p := range lst {
-			k := partSnapKey(p)
-			if have, ok := parts[k]; ok {
-				have.Windows += p.Windows
-				have.Supplied += p.Supplied
-				have.Shortfalls += p.Shortfalls
-				have.LastCycleSupplied = p.LastCycleSupplied
-				if have.CycleTicks == 0 {
-					have.CycleTicks, have.BudgetTicks = p.CycleTicks, p.BudgetTicks
-				}
-				parts[k] = have
-			} else {
-				parts[k] = p
-			}
+	out.Partitions = mergeByKey(s.Partitions, o.Partitions, writePartKey, func(have, p *PartSnap) {
+		have.Windows += p.Windows
+		have.Supplied += p.Supplied
+		have.Shortfalls += p.Shortfalls
+		have.LastCycleSupplied = p.LastCycleSupplied
+		if have.CycleTicks == 0 {
+			have.CycleTicks, have.BudgetTicks = p.CycleTicks, p.BudgetTicks
 		}
-	}
-	for _, p := range parts { //air:allow(maprange): collected into a slice and sorted below
-		out.Partitions = append(out.Partitions, p)
-	}
-	sort.Slice(out.Partitions, func(i, j int) bool {
-		return partSnapKey(out.Partitions[i]) < partSnapKey(out.Partitions[j])
 	})
 	if out.Ticks > 0 {
 		for i := range out.Partitions {
@@ -760,40 +746,73 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 				float64(out.Partitions[i].Supplied) / float64(out.Ticks)
 		}
 	}
-
-	procs := make(map[string]ProcSnap, len(s.Processes)+len(o.Processes))
-	for _, lst := range [][]ProcSnap{s.Processes, o.Processes} {
-		for _, p := range lst {
-			k := procSnapKey(p)
-			if have, ok := procs[k]; ok {
-				have.Releases += p.Releases
-				have.Completions += p.Completions
-				have.Misses += p.Misses
-				have.Warnings += p.Warnings
-				have.Response = have.Response.Add(p.Response)
-				have.Jitter = have.Jitter.Add(p.Jitter)
-				have.Slack = have.Slack.Add(p.Slack)
-				procs[k] = have
-			} else {
-				procs[k] = p
-			}
-		}
-	}
-	for _, p := range procs { //air:allow(maprange): collected into a slice and sorted below
-		out.Processes = append(out.Processes, p)
-	}
-	sort.Slice(out.Processes, func(i, j int) bool {
-		return procSnapKey(out.Processes[i]) < procSnapKey(out.Processes[j])
+	out.Processes = mergeByKey(s.Processes, o.Processes, writeProcKey, func(have, p *ProcSnap) {
+		have.Releases += p.Releases
+		have.Completions += p.Completions
+		have.Misses += p.Misses
+		have.Warnings += p.Warnings
+		have.Response = have.Response.Add(p.Response)
+		have.Jitter = have.Jitter.Add(p.Jitter)
+		have.Slack = have.Slack.Add(p.Slack)
 	})
 	return out
 }
 
-func partSnapKey(p PartSnap) string {
-	return string(rune('0'+p.Core)) + "/" + p.Partition
+// mergeByKey unions a's and b's entries by key, in ascending key-byte
+// order: entries sharing a key fold into the first of them, in the order
+// they appear in a then b. writeKey renders each entry's key once into one
+// shared builder; the entries' positions are then sorted stably by key, so
+// neighbours sharing a key are exactly the entries to fold.
+func mergeByKey[T any](a, b []T, writeKey func(*strings.Builder, *T), fold func(have *T, e *T)) []T {
+	n := len(a) + len(b)
+	if n == 0 {
+		return nil // an empty union stays nil, which JSON renders as null
+	}
+	at := func(i int) *T {
+		if i < len(a) {
+			return &a[i]
+		}
+		return &b[i-len(a)]
+	}
+	type ref struct{ start, end, i int }
+	refs := make([]ref, n)
+	var keys strings.Builder
+	for i := range refs {
+		start := keys.Len()
+		writeKey(&keys, at(i))
+		refs[i] = ref{start, keys.Len(), i}
+	}
+	all := keys.String()
+	key := func(r ref) string { return all[r.start:r.end] }
+	slices.SortStableFunc(refs, func(x, y ref) int { return strings.Compare(key(x), key(y)) })
+	out := make([]T, 0, n)
+	for i := 0; i < n; {
+		have := *at(refs[i].i)
+		j := i + 1
+		for ; j < n && key(refs[j]) == key(refs[i]); j++ {
+			fold(&have, at(refs[j].i))
+		}
+		out = append(out, have)
+		i = j
+	}
+	return out
 }
 
-func procSnapKey(p ProcSnap) string {
-	return string(rune('0'+p.Core)) + "/" + p.Partition + "/" + p.Process
+// writePartKey and writeProcKey render the merge keys of Snapshot.Add:
+// the core as one rune past '0', then the partition (and process) names,
+// '/'-separated. Entries merge in the byte order of these keys.
+func writePartKey(b *strings.Builder, p *PartSnap) {
+	b.WriteRune(rune('0' + p.Core))
+	b.WriteByte('/')
+	b.WriteString(p.Partition)
+}
+
+func writeProcKey(b *strings.Builder, p *ProcSnap) {
+	b.WriteRune(rune('0' + p.Core))
+	b.WriteByte('/')
+	b.WriteString(p.Partition)
+	b.WriteByte('/')
+	b.WriteString(p.Process)
 }
 
 // WorstSlack returns the minimum observed completion slack in ticks and
