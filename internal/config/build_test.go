@@ -33,7 +33,7 @@ func TestBuildCoreConfigAndRun(t *testing.T) {
 	if cfg.Partitions[1].Policy != pos.PolicyRoundRobin {
 		t.Error("policy not mapped")
 	}
-	if !cfg.Partitions[2].UseTreeQueue {
+	if cfg.Partitions[2].DeadlineQueue != core.TreeQueue {
 		t.Error("deadline queue not mapped")
 	}
 	if len(cfg.Sampling) != 1 || len(cfg.Queuing) != 1 {
@@ -53,6 +53,30 @@ func TestBuildCoreConfigAndRun(t *testing.T) {
 	}
 	if !p1Ran {
 		t.Error("P1 init never ran")
+	}
+}
+
+// TestBuildCoreConfigDeadlineQueue: each deadlineQueue spelling selects
+// its own structure, and the unset default is the heap.
+func TestBuildCoreConfigDeadlineQueue(t *testing.T) {
+	for _, tc := range []struct {
+		spelling string
+		want     core.QueueKind
+	}{
+		{"", core.HeapQueue},
+		{"heap", core.HeapQueue},
+		{"list", core.ListQueue},
+		{"tree", core.TreeQueue},
+	} {
+		doc := Fig8Module()
+		doc.Partitions[0].DeadlineQueue = tc.spelling
+		cfg, err := doc.BuildCoreConfig(nil)
+		if err != nil {
+			t.Fatalf("deadlineQueue %q: %v", tc.spelling, err)
+		}
+		if got := cfg.Partitions[0].DeadlineQueue; got != tc.want {
+			t.Errorf("deadlineQueue %q built queue kind %d, want %d", tc.spelling, got, tc.want)
+		}
 	}
 }
 

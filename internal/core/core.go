@@ -11,11 +11,14 @@
 //
 // Application processes are real goroutines running imperative APEX-calling
 // code, but execution is strictly alternated: the kernel grants a process
-// goroutine the processor over a channel handshake only when body code is
-// to run, so exactly one goroutine (the kernel or a single process) runs at
-// any instant. The ticks a process spends inside Services.Compute run no
-// body code; the kernel accounts them itself as compute credit, one per
-// dispatch, and grants the goroutine again when Compute returns. This
+// goroutine the processor over a grant/yield channel pair only when body
+// code is to run, so exactly one goroutine (the kernel or a single process)
+// runs at any instant. A kill travels on the same grant channel: the
+// goroutine unwinds, running the body's defers, and acks on yield like any
+// other exit. Each live goroutine has exactly one runtime entry, which it
+// removes as it exits. The ticks a process spends inside Services.Compute
+// run no body code; the kernel accounts them itself as compute credit, one
+// per dispatch, and grants the goroutine again when Compute returns. This
 // yields natural ARINC 653 application code and bit-exact determinism.
 package core
 
@@ -61,14 +64,9 @@ type PartitionConfig struct {
 	System bool
 	// Policy selects the POS scheduler; zero value = priority preemptive.
 	Policy pos.Policy
-	// UseTreeQueue selects the AVL deadline queue instead of the default
-	// flat array-heap (Sect. 5.3 ablation).
-	UseTreeQueue bool
-	// UseListQueue selects the paper's sorted linked list (the original
-	// production structure) instead of the default flat array-heap. All
-	// three queues share the (deadline, pid) total order, so the choice
-	// never changes a trace byte — only the constant factors.
-	UseListQueue bool
+	// DeadlineQueue selects the PAL deadline structure; the zero value is
+	// the flat array-heap.
+	DeadlineQueue QueueKind
 	// Init is the partition initialization entry point.
 	Init InitFunc
 	// Descriptors optionally overrides the partition's addressing space;
@@ -85,6 +83,20 @@ type PartitionConfig struct {
 	// MaxProcesses bounds the process table (0 = POS default).
 	MaxProcesses int
 }
+
+// QueueKind selects a partition's PAL deadline structure. All three share
+// the (deadline, pid) total order, so the choice never changes a trace
+// byte — only the constant factors.
+type QueueKind uint8
+
+const (
+	// HeapQueue is the compiled flat array-heap, the default.
+	HeapQueue QueueKind = iota
+	// ListQueue is the paper's sorted linked list.
+	ListQueue
+	// TreeQueue is the AVL tree (Sect. 5.3 ablation).
+	TreeQueue
+)
 
 // Config describes the whole module at integration time.
 type Config struct {

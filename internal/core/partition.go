@@ -35,20 +35,27 @@ const (
 	// yieldBlocked: the process transitioned to waiting without consuming
 	// the tick; the POS scheduler picks the next heir within the same tick.
 	yieldBlocked
-	// yieldDone: the process body returned (or faulted) and stopped.
+	// yieldDone: the goroutine unwound — the body returned, faulted,
+	// stopped itself or was killed — and removed its runtime entry.
 	yieldDone
 )
 
-// killSentinel is panicked into a process goroutine to force-terminate it.
-type killSentinel struct{}
+// stopSentinel is panicked into a process goroutine to unwind it: by the
+// process itself (StopSelf and the other self-terminating services) or by
+// waitGrant when the kernel kills the process.
+type stopSentinel struct{}
 
-// procRuntime is the kernel side of one process goroutine handshake.
+// procRuntime is the kernel side of one live process goroutine. The two
+// channels carry a strict alternation: the kernel sends on grant and waits
+// on yield, the goroutine waits on grant and answers on yield.
 type procRuntime struct {
-	grant chan struct{}
+	// grant hands the processor to the goroutine: true runs body code,
+	// false kills the process, and the goroutine unwinds and acks yieldDone.
+	grant chan bool
 	yield chan yieldKind
-	kill  chan struct{}
-	done  chan struct{}
-	alive bool
+	// state is the forkable body's state cell (nil for a closure body);
+	// snapshot/fork clones it into the fork's re-spawned goroutine.
+	state any
 	// stackUsed tracks the simulated stack consumption for STACK_OVERFLOW
 	// detection (Services.StackProbe).
 	stackUsed int
@@ -64,11 +71,33 @@ type procRuntime struct {
 }
 
 func (rt *procRuntime) waitGrant() {
-	select {
-	case <-rt.grant:
-	case <-rt.kill:
-		panic(killSentinel{})
+	if !<-rt.grant {
+		panic(stopSentinel{})
 	}
+}
+
+// pendingKind names the kernel operation a pendingOp carries.
+type pendingKind uint8
+
+const (
+	pendingNone pendingKind = iota
+	// pendingProcess: a process-level HM decision (application panic,
+	// RAISE_APPLICATION_ERROR, STACK_OVERFLOW).
+	pendingProcess
+	// pendingPartition: a partition-level HM decision (memory violation).
+	pendingPartition
+	// pendingMode: a SET_PARTITION_MODE idle/coldStart/warmStart request.
+	pendingMode
+)
+
+// pendingOp is a kernel operation raised on a process goroutine that must
+// execute on the kernel side of the handshake. Every writer ends its
+// goroutine in the same grant, so at most one is pending at a time.
+type pendingOp struct {
+	kind     pendingKind
+	process  string
+	decision hm.Decision
+	mode     model.OperatingMode
 }
 
 // Partition is the runtime containment domain of one partition: its POS
@@ -87,12 +116,12 @@ type Partition struct {
 	kernel *pos.Kernel
 	pal    *pal.PAL
 
+	// runtimes holds one entry per live process goroutine; the goroutine
+	// removes its own entry as it exits.
 	runtimes map[pos.ProcessID]*procRuntime
-	bodies   map[pos.ProcessID]ProcessBody
-	forkable map[pos.ProcessID]ForkableBody
-	// states holds the live state cell of each spawned forkable process;
-	// snapshot/fork clones these cells into the fork's re-spawned goroutines.
-	states  map[pos.ProcessID]any
+	// bodies holds every created process's body. A closure body has only
+	// Run set, a model-only process (nil body) nothing.
+	bodies  map[pos.ProcessID]ForkableBody
 	handler ErrorHandler
 	// postInit is integration code injected after construction (fault
 	// injection on forked modules, Module.Inject). It re-runs with
@@ -107,17 +136,9 @@ type Partition struct {
 	sampPorts   map[string]*samplingPort
 	queuePorts  map[string]*queuingPort
 
-	// pendingFaultDecision holds a process-level HM decision raised on a
-	// process goroutine (application panic, RAISE_APPLICATION_ERROR) until
-	// the kernel side of the handshake applies it.
-	pendingFaultDecision *faultDecision
-	// pendingPartitionDecision likewise for partition-level decisions
-	// (memory violations) raised on a process goroutine.
-	pendingPartitionDecision *hm.Decision
-	// deferredMode holds a SET_PARTITION_MODE transition requested by a
-	// process (idle/coldStart/warmStart), applied kernel-side after the
-	// requesting process terminates.
-	deferredMode model.OperatingMode
+	// pending holds the kernel operation the last granted process raised
+	// as it ended, until the kernel side applies it.
+	pending pendingOp
 
 	// noProgress counts consecutive granted ticks consumed without any
 	// process completing or blocking — the liveness watchdog's evidence of a
@@ -144,14 +165,12 @@ func newPartition(m *Module, cfg PartitionConfig) (*Partition, error) {
 func (pt *Partition) buildKernel() {
 	nowFn := func() tick.Ticks { return pt.mod.now }
 	var queue pal.DeadlineQueue
-	switch {
-	case pt.cfg.UseTreeQueue:
+	switch pt.cfg.DeadlineQueue {
+	case TreeQueue:
 		queue = pal.NewTreeQueue()
-	case pt.cfg.UseListQueue:
+	case ListQueue:
 		queue = pal.NewListQueue()
 	default:
-		// Production default: the compiled flat array-heap. All queues share
-		// the (deadline, pid) total order, so traces are identical.
 		queue = pal.NewHeapQueue()
 	}
 	p := pal.New(pal.Config{
@@ -172,9 +191,7 @@ func (pt *Partition) buildKernel() {
 	pt.kernel = k
 	pt.pal = p
 	pt.runtimes = make(map[pos.ProcessID]*procRuntime)
-	pt.bodies = make(map[pos.ProcessID]ProcessBody)
-	pt.forkable = make(map[pos.ProcessID]ForkableBody)
-	pt.states = make(map[pos.ProcessID]any)
+	pt.bodies = make(map[pos.ProcessID]ForkableBody)
 }
 
 func (pt *Partition) clearObjects() {
@@ -311,115 +328,81 @@ func (pt *Partition) resetWaitQueues() {
 	}
 }
 
-// killAll force-terminates every live process goroutine.
-//
-//air:allow(maprange): each runtime is killed and removed independently; order-insensitive
+// killAll force-terminates every live process goroutine, in process-table
+// order, so killed bodies unwind in the same order on every run.
 func (pt *Partition) killAll() {
-	for id, rt := range pt.runtimes {
-		if rt.alive {
-			close(rt.kill)
-			<-rt.done
-			rt.alive = false
-		}
-		delete(pt.runtimes, id)
+	for _, proc := range pt.kernel.Processes() {
+		pt.killProcess(proc.ID)
 	}
 }
 
-// killProcess force-terminates one process goroutine (used by Stop-type
-// recovery actions originating outside the process itself).
+// killProcess force-terminates one process goroutine, if it has one, and
+// waits until it has unwound. A deferred call in the body that blocks again
+// is answered with another kill.
 func (pt *Partition) killProcess(id pos.ProcessID) {
-	rt, ok := pt.runtimes[id]
-	if !ok {
+	rt := pt.runtimes[id]
+	if rt == nil {
 		return
 	}
-	if rt.alive {
-		close(rt.kill)
-		<-rt.done
-		rt.alive = false
+	rt.grant <- false
+	for <-rt.yield != yieldDone {
+		rt.grant <- false
 	}
-	delete(pt.runtimes, id)
 }
 
-// spawn starts the goroutine for a started process. The goroutine waits for
-// its first grant (first dispatch) before running the body. A forkable
-// process gets a fresh state cell from its constructor: a process (re)start
-// is a new activation of the body, so state resets with it.
-func (pt *Partition) spawn(id pos.ProcessID) {
-	if fb, ok := pt.forkable[id]; ok {
-		pt.spawnForkable(id, fb, fb.New())
-		return
+// start spawns the goroutine of a process the kernel has just started. A
+// (re)start is a new activation of the body, so a forkable body gets a
+// fresh state cell from its constructor.
+func (pt *Partition) start(id pos.ProcessID) {
+	fb := pt.bodies[id]
+	var state any
+	if fb.New != nil {
+		state = fb.New()
 	}
-	body := pt.bodies[id]
-	if body == nil {
-		return // model-only process: pure time consumer
-	}
-	pt.spawnBody(id, body)
+	pt.spawn(id, fb, state)
 }
 
-// spawnForkable starts a forkable process goroutine around an explicit
-// state cell — fb.New() on a normal (re)start, a Clone of the parent's cell
-// on fork re-spawn.
-func (pt *Partition) spawnForkable(id pos.ProcessID, fb ForkableBody, state any) {
-	pt.states[id] = state
-	pt.spawnBody(id, func(sv *Services) { fb.Run(sv, state) })
-}
-
-func (pt *Partition) spawnBody(id pos.ProcessID, body ProcessBody) {
+// spawn starts the goroutine of process id around the given state cell and
+// returns its runtime, or nil for a model-only process, which has no
+// goroutine. The goroutine waits for its first grant (first dispatch)
+// before running the body, and every way out of it — return, fault, stop or
+// kill — removes its runtime entry and acks yieldDone.
+func (pt *Partition) spawn(id pos.ProcessID, fb ForkableBody, state any) *procRuntime {
+	if fb.Run == nil {
+		return nil // model-only process: pure time consumer
+	}
 	rt := &procRuntime{
-		grant: make(chan struct{}),
+		grant: make(chan bool),
 		yield: make(chan yieldKind),
-		kill:  make(chan struct{}),
-		done:  make(chan struct{}),
-		alive: true,
+		state: state,
 	}
 	pt.runtimes[id] = rt
 	sv := pt.services(id, rt)
 	//air:allow(goroutine): process runtimes are goroutines by design, lock-stepped with the kernel via the grant/yield handshake
 	go func() {
-		defer close(rt.done)
 		defer func() {
-			r := recover()
-			if r == nil {
-				return
+			if r := recover(); r != nil {
+				if _, ok := r.(stopSentinel); !ok {
+					// Application fault: contained within the partition,
+					// reported as a process-level error — arithmetic traps
+					// classify as NUMERIC_ERROR, everything else as
+					// APPLICATION_ERROR (Sect. 2.4 error classes).
+					name := spec(pt, id)
+					pt.pending = pendingOp{kind: pendingProcess, process: name,
+						decision: pt.mod.health.ReportProcess(pt.name, name,
+							classifyPanic(r), fmt.Sprintf("process panic: %v", r))}
+					_ = pt.kernel.Stop(id)
+				}
 			}
-			switch r.(type) {
-			case killSentinel:
-				// Kernel-initiated termination; the kernel side is not
-				// waiting on the yield channel.
-				return
-			case stopSentinel:
-				// Self-termination (StopSelf, deferred mode change,
-				// self-affecting recovery): kernel state already settled.
-				rt.yield <- yieldDone
-				return
-			default:
-				// Application fault: contained within the partition,
-				// reported as a process-level error — arithmetic traps
-				// classify as NUMERIC_ERROR, everything else as
-				// APPLICATION_ERROR (Sect. 2.4 error classes).
-				name := spec(pt, id)
-				decision := pt.mod.health.ReportProcess(pt.name, name,
-					classifyPanic(r), fmt.Sprintf("process panic: %v", r))
-				_ = pt.kernel.Stop(id)
-				rt.alive = false
-				pt.pendingFaultDecision = &faultDecision{name: name, decision: decision}
-				rt.yield <- yieldDone
-			}
+			delete(pt.runtimes, id)
+			rt.yield <- yieldDone
 		}()
 		rt.waitGrant()
-		body(sv)
+		fb.Run(sv, state)
 		// Normal return: the process stops itself (dormant).
 		_ = pt.kernel.Stop(id)
-		rt.alive = false
-		rt.yield <- yieldDone
 	}()
-}
-
-// faultDecision carries an HM decision raised on a process goroutine to the
-// kernel side of the handshake, where recovery actions are applied.
-type faultDecision struct {
-	name     string
-	decision hm.Decision
+	return rt
 }
 
 // runOneTick runs the partition's process scheduling for one granted tick:
@@ -432,7 +415,7 @@ func (pt *Partition) runOneTick() {
 			return // no eligible process: the tick idles inside the window
 		}
 		rt := pt.runtimes[proc.ID]
-		if rt == nil || !rt.alive {
+		if rt == nil {
 			// Model-only process: consumes the tick with no observable
 			// effect (a pure CPU burner used in analysis/benchmarks).
 			return
@@ -446,7 +429,7 @@ func (pt *Partition) runOneTick() {
 			return
 		}
 		rt.everGranted = true
-		rt.grant <- struct{}{}
+		rt.grant <- true
 		kind := <-rt.yield
 		if pt.applyPendingKernelOps() {
 			return // a partition-level transition consumed the tick
@@ -486,7 +469,7 @@ func (pt *Partition) quietTicks(now, limit tick.Ticks) (tick.Ticks, *procRuntime
 		return k, nil // nothing eligible: the window idles
 	}
 	rt := pt.runtimes[proc.ID]
-	if rt == nil || !rt.alive {
+	if rt == nil {
 		return k, nil // model-only process: consumes ticks with no effect
 	}
 	k = min(k, rt.credit)
@@ -517,38 +500,37 @@ func (pt *Partition) noteTickConsumed() {
 	pt.applyPartitionDecision(d)
 }
 
-// applyPendingKernelOps applies decisions and mode transitions that a
-// process goroutine raised but that must execute on the kernel side of the
-// handshake. It returns true when the partition underwent a mode transition
-// (restart/stop), which ends the tick.
+// applyPendingKernelOps applies the kernel operation the granted process
+// raised as it ended (Partition.pending). It returns true when the partition
+// underwent a mode transition (restart/stop), which ends the tick.
 func (pt *Partition) applyPendingKernelOps() bool {
-	if fd := pt.pendingFaultDecision; fd != nil {
-		pt.pendingFaultDecision = nil
-		pt.applyProcessDecision(fd.name, fd.decision)
-		switch fd.decision.Action {
+	op := pt.pending
+	if op.kind == pendingNone {
+		return false
+	}
+	pt.pending = pendingOp{}
+	switch op.kind {
+	case pendingProcess:
+		pt.applyProcessDecision(op.process, op.decision)
+		switch op.decision.Action {
 		case hm.ActionWarmStartPartition, hm.ActionColdStartPartition,
 			hm.ActionStopPartition, hm.ActionResetModule, hm.ActionShutdownModule:
 			return true
 		}
-	}
-	if pd := pt.pendingPartitionDecision; pd != nil {
-		pt.pendingPartitionDecision = nil
-		pt.applyPartitionDecision(*pd)
-		return true
-	}
-	if mode := pt.deferredMode; mode != 0 {
-		pt.deferredMode = 0
-		switch mode {
+		return false
+	case pendingPartition:
+		pt.applyPartitionDecision(op.decision)
+	case pendingMode:
+		switch op.mode {
 		case model.ModeIdle:
 			pt.stop()
 		case model.ModeColdStart, model.ModeWarmStart:
 			pt.mod.traceEvent(Event{Time: pt.mod.now, Kind: EvPartitionRestart,
-				Partition: pt.name, Detail: "SET_PARTITION_MODE " + mode.String()})
-			pt.restart(mode)
+				Partition: pt.name, Detail: "SET_PARTITION_MODE " + op.mode.String()})
+			pt.restart(op.mode)
 		}
-		return true
 	}
-	return false
+	return true
 }
 
 // classifyPanic maps a recovered panic value onto the ARINC 653 error
@@ -603,7 +585,7 @@ func (pt *Partition) applyProcessDecision(process string, d hm.Decision) {
 		pt.stopProcessByName(process)
 		if proc, err := pt.kernel.Lookup(process); err == nil {
 			if err := pt.kernel.Start(proc.ID); err == nil {
-				pt.spawn(proc.ID)
+				pt.start(proc.ID)
 			}
 		}
 		m.traceEvent(Event{Time: m.now, Kind: EvProcessRestarted,

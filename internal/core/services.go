@@ -12,10 +12,6 @@ import (
 	"air/internal/tick"
 )
 
-// stopSentinel is panicked by a process terminating itself (StopSelf,
-// self-affecting recovery); the spawn wrapper converts it into a yieldDone.
-type stopSentinel struct{}
-
 // Services is the APEX interface instance of one partition (paper Sect. 2.3)
 // bound, when invoked from application code, to the calling process. Service
 // calls from initialization or error-handler context (kernel context) have
@@ -54,10 +50,11 @@ func (sv *Services) myName() string {
 	return ""
 }
 
-// terminateSelf ends the calling process goroutine after kernel-side state
-// was settled; never returns.
-func (sv *Services) terminateSelf() {
-	sv.rt.alive = false
+// exit ends the calling process: it leaves op for the kernel side of the
+// handshake, stops the process and unwinds its goroutine. It never returns.
+func (sv *Services) exit(op pendingOp) {
+	sv.pt.pending = op
+	_ = sv.pt.kernel.Stop(sv.pid)
 	panic(stopSentinel{})
 }
 
@@ -140,25 +137,14 @@ func (sv *Services) Replenish(budget tick.Ticks) apex.ReturnCode {
 // CreateProcess implements CREATE_PROCESS. Processes may only be created
 // while the partition is initializing (coldStart/warmStart mode). Creating a
 // process that already exists with the same attributes returns NoAction with
-// the existing ID, making warm-start initialization idempotent.
+// the existing ID, making warm-start initialization idempotent. A nil body
+// creates a model-only process: a pure time consumer with no goroutine.
 func (sv *Services) CreateProcess(spec model.TaskSpec, body ProcessBody) (pos.ProcessID, apex.ReturnCode) {
-	if sv.pt.mode == model.ModeNormal {
-		return pos.InvalidProcess, apex.InvalidMode
+	var fb ForkableBody
+	if body != nil {
+		fb.Run = func(sv *Services, _ any) { body(sv) }
 	}
-	if existing, err := sv.pt.kernel.Lookup(spec.Name); err == nil {
-		if existing.Spec == spec {
-			sv.pt.bodies[existing.ID] = body
-			delete(sv.pt.forkable, existing.ID)
-			return existing.ID, apex.NoAction
-		}
-		return pos.InvalidProcess, apex.InvalidConfig
-	}
-	id, err := sv.pt.kernel.Create(spec)
-	if err != nil {
-		return pos.InvalidProcess, apex.InvalidParam
-	}
-	sv.pt.bodies[id] = body
-	return id, apex.NoError
+	return sv.createProcess(spec, fb)
 }
 
 // CreateForkableProcess implements CREATE_PROCESS for a body written in the
@@ -171,13 +157,18 @@ func (sv *Services) CreateForkableProcess(spec model.TaskSpec, fb ForkableBody) 
 	if fb.New == nil || fb.Clone == nil || fb.Run == nil {
 		return pos.InvalidProcess, apex.InvalidParam
 	}
+	return sv.createProcess(spec, fb)
+}
+
+// createProcess registers a body under the CREATE_PROCESS rules. A
+// re-registration replaces the earlier body, whichever form either has.
+func (sv *Services) createProcess(spec model.TaskSpec, fb ForkableBody) (pos.ProcessID, apex.ReturnCode) {
 	if sv.pt.mode == model.ModeNormal {
 		return pos.InvalidProcess, apex.InvalidMode
 	}
 	if existing, err := sv.pt.kernel.Lookup(spec.Name); err == nil {
 		if existing.Spec == spec {
-			sv.pt.forkable[existing.ID] = fb
-			delete(sv.pt.bodies, existing.ID)
+			sv.pt.bodies[existing.ID] = fb
 			return existing.ID, apex.NoAction
 		}
 		return pos.InvalidProcess, apex.InvalidConfig
@@ -186,7 +177,7 @@ func (sv *Services) CreateForkableProcess(spec model.TaskSpec, fb ForkableBody) 
 	if err != nil {
 		return pos.InvalidProcess, apex.InvalidParam
 	}
-	sv.pt.forkable[id] = fb
+	sv.pt.bodies[id] = fb
 	return id, apex.NoError
 }
 
@@ -201,7 +192,7 @@ func (sv *Services) StartProcess(name string) apex.ReturnCode {
 	if err := sv.pt.kernel.Start(proc.ID); err != nil {
 		return apex.NoAction // not dormant
 	}
-	sv.pt.spawn(proc.ID)
+	sv.pt.start(proc.ID)
 	return apex.NoError
 }
 
@@ -217,7 +208,7 @@ func (sv *Services) DelayedStartProcess(name string, delay tick.Ticks) apex.Retu
 	if err := sv.pt.kernel.DelayedStart(proc.ID, delay); err != nil {
 		return apex.NoAction
 	}
-	sv.pt.spawn(proc.ID)
+	sv.pt.start(proc.ID)
 	return apex.NoError
 }
 
@@ -246,8 +237,7 @@ func (sv *Services) StopSelf() {
 	if !sv.inProcess() {
 		return
 	}
-	_ = sv.pt.kernel.Stop(sv.pid)
-	sv.terminateSelf()
+	sv.exit(pendingOp{})
 }
 
 // SuspendProcess implements SUSPEND for another process.
@@ -387,9 +377,7 @@ func (sv *Services) SetPartitionMode(mode model.OperatingMode) apex.ReturnCode {
 			}
 			return apex.InvalidMode
 		}
-		sv.pt.deferredMode = mode
-		_ = sv.pt.kernel.Stop(sv.pid)
-		sv.terminateSelf()
+		sv.exit(pendingOp{kind: pendingMode, mode: mode})
 		return apex.NoError // unreachable
 	default:
 		return apex.InvalidParam
@@ -465,24 +453,27 @@ func (sv *Services) ReportApplicationMessage(msg string) apex.ReturnCode {
 // restart, partition restart), the call does not return.
 func (sv *Services) RaiseApplicationError(msg string) apex.ReturnCode {
 	name := sv.myName()
-	decision := sv.mod.health.ReportProcess(sv.pt.name, name, hm.ErrApplicationError, msg)
+	sv.processError(name, sv.mod.health.ReportProcess(sv.pt.name, name, hm.ErrApplicationError, msg))
+	return apex.NoError
+}
+
+// processError applies the HM decision on a process-level error of the
+// calling process. The error is logged, or handed to the application error
+// handler; any other action is applied on the kernel side, after the
+// calling process has ended, so then processError does not return.
+func (sv *Services) processError(name string, decision hm.Decision) {
 	switch decision.Action {
 	case hm.ActionIgnore:
-		return apex.NoError
 	case hm.ActionInvokeHandler:
 		if sv.pt.handler != nil {
 			sv.pt.handler(sv.pt.services(pos.InvalidProcess, nil), decision.Event)
 		}
-		return apex.NoError
 	default:
 		if !sv.inProcess() {
 			sv.pt.applyProcessDecision(name, decision)
-			return apex.NoError
+			return
 		}
-		sv.pt.pendingFaultDecision = &faultDecision{name: name, decision: decision}
-		_ = sv.pt.kernel.Stop(sv.pid)
-		sv.terminateSelf()
-		return apex.NoError // unreachable
+		sv.exit(pendingOp{kind: pendingProcess, process: name, decision: decision})
 	}
 }
 
@@ -536,23 +527,10 @@ func (sv *Services) StackProbe(bytes int) apex.ReturnCode {
 		return apex.NoError
 	}
 	name := sv.myName()
-	decision := sv.mod.health.ReportProcess(sv.pt.name, name, hm.ErrStackOverflow,
+	sv.processError(name, sv.mod.health.ReportProcess(sv.pt.name, name, hm.ErrStackOverflow,
 		fmt.Sprintf("stack usage %d exceeds stack section %d bytes",
-			sv.rt.stackUsed, sv.pt.stackBytes()))
-	switch decision.Action {
-	case hm.ActionIgnore:
-		return apex.InvalidConfig
-	case hm.ActionInvokeHandler:
-		if sv.pt.handler != nil {
-			sv.pt.handler(sv.pt.services(pos.InvalidProcess, nil), decision.Event)
-		}
-		return apex.InvalidConfig
-	default:
-		sv.pt.pendingFaultDecision = &faultDecision{name: name, decision: decision}
-		_ = sv.pt.kernel.Stop(sv.pid)
-		sv.terminateSelf()
-		return apex.InvalidConfig // unreachable
-	}
+			sv.rt.stackUsed, sv.pt.stackBytes())))
+	return apex.InvalidConfig
 }
 
 // StackRelease models returning stack frames (e.g. on leaving a deep call
@@ -591,9 +569,7 @@ func (sv *Services) memAccess(access func() error) apex.ReturnCode {
 	case hm.ActionIgnore, hm.ActionInvokeHandler:
 		return apex.InvalidConfig
 	default:
-		sv.pt.pendingPartitionDecision = &decision
-		_ = sv.pt.kernel.Stop(sv.pid)
-		sv.terminateSelf()
+		sv.exit(pendingOp{kind: pendingPartition, decision: decision})
 		return apex.InvalidConfig // unreachable
 	}
 }

@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"air/internal/hm"
 	"air/internal/model"
@@ -122,25 +123,17 @@ func (pt *Partition) forkableNow() error {
 		return fmt.Errorf("%w: partition %s has an error handler installed (a closure the fork cannot copy)",
 			ErrNotForkable, pt.name)
 	}
-	if pt.pendingFaultDecision != nil || pt.pendingPartitionDecision != nil || pt.deferredMode != 0 {
+	if pt.pending.kind != pendingNone {
 		return fmt.Errorf("%w: partition %s has pending kernel operations", ErrNotForkable, pt.name)
 	}
-	//air:allow(maprange): validation-only existence scan; order-insensitive
-	for id, body := range pt.bodies {
-		if body != nil {
-			return fmt.Errorf("%w: partition %s process %s has an opaque closure body; use CreateForkableProcess",
-				ErrNotForkable, pt.name, spec(pt, id))
-		}
-	}
 	for _, proc := range pt.kernel.Processes() {
-		rt := pt.runtimes[proc.ID]
-		if rt == nil || !rt.alive {
-			continue // dormant or model-only: kernel state only, no goroutine
-		}
-		fb, ok := pt.forkable[proc.ID]
-		if !ok || fb.Run == nil {
-			return fmt.Errorf("%w: partition %s live process %s has no forkable body",
+		if fb := pt.bodies[proc.ID]; fb.Run != nil && fb.New == nil {
+			return fmt.Errorf("%w: partition %s process %s has an opaque closure body; use CreateForkableProcess",
 				ErrNotForkable, pt.name, proc.Spec.Name)
+		}
+		rt := pt.runtimes[proc.ID]
+		if rt == nil {
+			continue // dormant or model-only: kernel state only, no goroutine
 		}
 		if rt.credit != 0 {
 			return fmt.Errorf("%w: partition %s process %s is mid-Compute with %d ticks of credit owed",
@@ -248,16 +241,7 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 	pt2.pal = pal2
 
 	pt2.runtimes = make(map[pos.ProcessID]*procRuntime)
-	pt2.bodies = make(map[pos.ProcessID]ProcessBody, len(pt.bodies))
-	pt2.forkable = make(map[pos.ProcessID]ForkableBody, len(pt.forkable))
-	pt2.states = make(map[pos.ProcessID]any, len(pt.states))
-	for id := range pt.bodies { //air:allow(maprange): one-shot fork assembly off the hot path; order-insensitive copy
-		pt2.bodies[id] = nil // model-only registrations (validated nil)
-	}
-	//air:allow(maprange): one-shot fork assembly off the hot path.
-	for id, fb := range pt.forkable {
-		pt2.forkable[id] = fb
-	}
+	pt2.bodies = maps.Clone(pt.bodies)
 
 	pt2.buffers = make(map[string]*buffer, len(pt.buffers))
 	pt2.blackboards = make(map[string]*blackboard, len(pt.blackboards))
@@ -316,12 +300,11 @@ func (pt *Partition) fork(m2 *Module) (*Partition, error) {
 	// deterministic, though re-spawned goroutines only run when granted.
 	for _, proc := range pt.kernel.Processes() {
 		rt := pt.runtimes[proc.ID]
-		if rt == nil || !rt.alive {
+		if rt == nil {
 			continue
 		}
-		fb := pt.forkable[proc.ID]
-		pt2.spawnForkable(proc.ID, fb, fb.Clone(pt.states[proc.ID]))
-		pt2.runtimes[proc.ID].stackUsed = rt.stackUsed
+		fb := pt.bodies[proc.ID]
+		pt2.spawn(proc.ID, fb, fb.Clone(rt.state)).stackUsed = rt.stackUsed
 	}
 	return pt2, nil
 }

@@ -64,7 +64,7 @@ func TestCompiledScheduleEquivalence(t *testing.T) {
 			interpreted := Config(opts)
 			interpreted.InterpretedScheduler = true
 			for i := range interpreted.Partitions {
-				interpreted.Partitions[i].UseListQueue = true
+				interpreted.Partitions[i].DeadlineQueue = core.ListQueue
 			}
 			trace2, health2, metrics2 := runTraced(t, interpreted, horizon)
 
