@@ -243,6 +243,12 @@ func (a *Aggregate) init() {
 // run order (merging the campaign's Timeline snapshots is order-sensitive in
 // its last-cycle fields); derived means and quantiles are recomputed after
 // every fold, so the aggregate is always consistent and serializable.
+//
+// The metrics and timeline snapshots fold in place (Accumulate) into the
+// aggregate's own storage and never alias the observation's, so the
+// observation stays unchanged however often the aggregate is folded after.
+// A copy of an Aggregate shares that storage with the original: fold only
+// into one built by NewAggregate, Fold and Merge.
 func (a *Aggregate) Fold(o Observation) {
 	a.init()
 	a.Runs++
@@ -278,8 +284,8 @@ func (a *Aggregate) Fold(o Observation) {
 	if o.Contained {
 		a.ContainedRuns++
 	}
-	a.Metrics = a.Metrics.Add(o.Metrics)
-	a.Timeline = a.Timeline.Add(o.Timeline)
+	a.Metrics.Accumulate(&o.Metrics)
+	a.Timeline.Accumulate(&o.Timeline)
 
 	sc := classFor(a.ByScenario, o.Scenario)
 	sc.add(&o, hmTotal(o.HMByLevel))
@@ -302,7 +308,8 @@ func (a *Aggregate) Fold(o Observation) {
 // merged aggregate is byte-identical to folding all n observations into one
 // aggregate. Merges must be applied in run order (a's runs strictly precede
 // b's); the fleet coordinator guarantees this by merging lease partials in
-// lease order.
+// lease order. Merge replaces the snapshots with fresh values (Add) rather
+// than folding in place, so copies of a handed out earlier keep theirs.
 func (a *Aggregate) Merge(b Aggregate) {
 	a.init()
 	a.Runs += b.Runs
@@ -421,12 +428,12 @@ func (c *ClassAgg) add(o *Observation, hmEvents int) {
 	if o.Contained {
 		c.ContainedRuns++
 	}
-	c.Metrics = c.Metrics.Add(o.Metrics)
-	c.Timeline = c.Timeline.Add(o.Timeline)
+	c.Metrics.Accumulate(&o.Metrics)
+	c.Timeline.Accumulate(&o.Timeline)
 }
 
 // merge folds another class accumulator into this one (the ClassAgg form of
-// Aggregate.Merge; same run-order requirement).
+// Aggregate.Merge; same run-order requirement and value semantics).
 func (c *ClassAgg) merge(o *ClassAgg) {
 	c.Runs += o.Runs
 	c.Degraded += o.Degraded

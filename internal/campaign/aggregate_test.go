@@ -152,3 +152,36 @@ func TestRunShardBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateLeavesObservationsUnchanged pins the in-place fold's
+// no-aliasing rule: folding a campaign's observations, then folding them
+// again into a second aggregate, leaves every observation's JSON
+// byte-identical and reproduces the campaign's aggregate.
+func TestAggregateLeavesObservationsUnchanged(t *testing.T) {
+	spec := Spec{Runs: 16, Seed: 11, MTFs: 3, Workers: 2, ForkPrefix: true}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(res.Observations))
+	for i, o := range res.Observations {
+		if before[i], err = json.Marshal(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := aggJSON(t, res.Aggregate)
+	for pass := 0; pass < 2; pass++ {
+		if got := aggJSON(t, aggregate(res.Observations)); !bytes.Equal(got, want) {
+			t.Fatalf("pass %d: re-aggregating differs from the campaign's aggregate", pass)
+		}
+		for i, o := range res.Observations {
+			got, err := json.Marshal(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, before[i]) {
+				t.Fatalf("pass %d: aggregating changed observation %d:\nbefore %s\nafter  %s", pass, i, before[i], got)
+			}
+		}
+	}
+}

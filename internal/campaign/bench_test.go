@@ -73,3 +73,23 @@ func BenchmarkCampaignForkThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAggregate measures the campaign fold alone: aggregate() over the
+// 400 observations of a fork-prefix campaign shaped like airbench's
+// campaign-fork workload (24 MTFs, 21-MTF prefix, built-in matrix). Run
+// calls it once per campaign on one goroutine, after the worker pool has
+// drained.
+func BenchmarkAggregate(b *testing.B) {
+	res, err := Run(Spec{Runs: 400, Workers: 1, Seed: 17, MTFs: 24, PrefixMTFs: 21, ForkPrefix: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aggregateSink = aggregate(res.Observations)
+	}
+}
+
+// aggregateSink keeps BenchmarkAggregate's fold from being optimized away.
+var aggregateSink Aggregate

@@ -285,12 +285,10 @@ func Run(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	start := spec.Clock()
-	pre, err := buildPrefix(spec)
+	observations, err := execute(spec, 0, spec.Runs)
 	if err != nil {
 		return nil, err
 	}
-	observations := runRange(spec, 0, spec.Runs, pre)
-	pre.close()
 	elapsed := spec.Clock().Sub(start)
 
 	res := &Result{
@@ -344,20 +342,30 @@ func RunShard(spec Spec, start, end int) (*Shard, error) {
 	if start < 0 || end > spec.Runs || start > end {
 		return nil, fmt.Errorf("campaign: shard [%d, %d) outside run space [0, %d)", start, end, spec.Runs)
 	}
-	pre, err := buildPrefix(spec)
+	observations, err := execute(spec, start, end)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shard{Start: start, End: end, Observations: runRange(spec, start, end, pre)}
-	pre.close()
-	sh.Aggregate = aggregate(sh.Observations)
-	return sh, nil
+	return &Shard{Start: start, End: end, Observations: observations, Aggregate: aggregate(observations)}, nil
+}
+
+// execute builds what every run of the campaign shares — the Fig. 8 system
+// and, with ForkPrefix, the warm prefix — and executes runs [start, end).
+// spec must be defaulted and validated.
+func execute(spec Spec, start, end int) ([]Observation, error) {
+	sys := model.Fig8System()
+	pre, err := buildPrefix(spec, sys)
+	if err != nil {
+		return nil, err
+	}
+	defer pre.close()
+	return runRange(spec, start, end, pre, sys), nil
 }
 
 // runRange executes runs [start, end) over a pool of spec.Workers
 // goroutines (clamped to the range size) and returns the observations in
-// run order. spec must be defaulted and validated.
-func runRange(spec Spec, start, end int, pre *prefix) []Observation {
+// run order. Every run reads the one sys concurrently; nothing writes it.
+func runRange(spec Spec, start, end int, pre *prefix, sys *model.System) []Observation {
 	observations := make([]Observation, end-start)
 	workers := spec.Workers
 	if n := end - start; workers > n {
@@ -370,7 +378,7 @@ func runRange(spec Spec, start, end int, pre *prefix) []Observation {
 		go func() {
 			defer wg.Done()
 			for run := range jobs {
-				observations[run-start] = runOne(spec, run, pre)
+				observations[run-start] = runOne(spec, run, pre, sys)
 				if spec.OnObservation != nil {
 					spec.OnObservation(observations[run-start])
 				}
@@ -414,7 +422,7 @@ func (p *prefix) close() {
 // the frame boundary — stepping a few extra ticks if that instant happens
 // not to be quiescent, so the snapshot tick is still deterministic. Returns
 // nil when the spec does not request prefix sharing.
-func buildPrefix(spec Spec) (*prefix, error) {
+func buildPrefix(spec Spec, sys *model.System) (*prefix, error) {
 	if !spec.ForkPrefix {
 		return nil, nil
 	}
@@ -431,7 +439,7 @@ func buildPrefix(spec Spec) (*prefix, error) {
 		m.Shutdown()
 		return nil, fmt.Errorf("campaign: prefix: %w", err)
 	}
-	mtf := model.Fig8System().Schedules[0].MTF
+	mtf := sys.Schedules[0].MTF
 	if err := m.Run(tick.Ticks(spec.PrefixMTFs)*mtf - 1); err != nil {
 		m.Shutdown()
 		return nil, fmt.Errorf("campaign: prefix: %w", err)
@@ -458,7 +466,7 @@ func buildPrefix(spec Spec) (*prefix, error) {
 // contained by the module itself, and anything escaping (a kernel-side
 // defect, an out-of-memory in trace collection) is recovered into a
 // degraded observation after the module's goroutines are reaped.
-func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
+func runOne(spec Spec, run int, pre *prefix, sys *model.System) (ob Observation) {
 	r := newRunRNG(spec.Seed, run)
 	scenario := pickScenario(spec.Matrix, r)
 	faults := make([]workload.FaultSpec, len(scenario.Faults))
@@ -487,7 +495,7 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 		}
 	}()
 
-	mtf := model.Fig8System().Schedules[0].MTF
+	mtf := sys.Schedules[0].MTF
 	var m *core.Module
 	var tl *timeline.Timeline
 	var asink *archive.Sink
@@ -520,7 +528,7 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 		// fork mode the timeline covers only the post-prefix suffix. The
 		// archive sink attaches at the same instant, so its stream and the
 		// timeline describe the same window.
-		tl = timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
+		tl = timeline.Attach(m.Bus(), timeline.Options{System: sys})
 		if asink != nil {
 			m.Bus().Attach(asink)
 		}
@@ -547,7 +555,7 @@ func runOne(spec Spec, run int, pre *prefix) (ob Observation) {
 		defer m.Shutdown()
 		// The timeliness analyzer rides the module's observability spine;
 		// attached before Start so initialization-time process releases are seen.
-		tl = timeline.Attach(m.Bus(), timeline.Options{System: model.Fig8System()})
+		tl = timeline.Attach(m.Bus(), timeline.Options{System: sys})
 		if asink != nil {
 			m.Bus().Attach(asink)
 		}

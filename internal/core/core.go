@@ -145,7 +145,8 @@ type Config struct {
 	// equivalence test can diff the two forms trace-byte for trace-byte.
 	InterpretedScheduler bool
 	// BatchObs defers spine sink delivery to once per partition window: hot
-	// layers stage events into the bus's fixed buffer and the kernel flushes
+	// layers stage events into the bus's capacity-bounded buffer (allocated
+	// on the first staged event) and the kernel flushes
 	// at each partition preemption point. Metrics observe immediately either
 	// way, and every sink read path (trace, export, shutdown) flushes first,
 	// so batching never changes what any reader observes — only how often

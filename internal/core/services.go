@@ -166,7 +166,7 @@ func (sv *Services) createProcess(spec model.TaskSpec, fb ForkableBody) (pos.Pro
 	if sv.pt.mode == model.ModeNormal {
 		return pos.InvalidProcess, apex.InvalidMode
 	}
-	if existing, err := sv.pt.kernel.Lookup(spec.Name); err == nil {
+	if existing, ok := sv.pt.kernel.Find(spec.Name); ok {
 		if existing.Spec == spec {
 			sv.pt.bodies[existing.ID] = fb
 			return existing.ID, apex.NoAction

@@ -179,7 +179,9 @@ func (c *QueuingChannel) Config() QueuingConfig { return c.cfg }
 
 // Send enqueues a message (source side), failing with ErrQueueFull when the
 // configured depth is reached — the APEX layer translates that into blocking
-// or a NOT_AVAILABLE return depending on the caller's timeout.
+// or a NOT_AVAILABLE return depending on the caller's timeout. The full-queue
+// error is the bare sentinel: a blocked sender retries every tick, and the
+// caller only tests it with errors.Is.
 func (c *QueuingChannel) Send(from model.PartitionName, data []byte, now tick.Ticks) error {
 	if from != c.cfg.Source.Partition {
 		return fmt.Errorf("%w: %s sending on %s", ErrNotSource, from, c.cfg.Name)
@@ -193,7 +195,7 @@ func (c *QueuingChannel) Send(from model.PartitionName, data []byte, now tick.Ti
 	}
 	if len(c.queue) >= c.cfg.Depth {
 		c.drops++
-		return fmt.Errorf("%w: %s", ErrQueueFull, c.cfg.Name)
+		return ErrQueueFull
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
@@ -205,17 +207,18 @@ func (c *QueuingChannel) Send(from model.PartitionName, data []byte, now tick.Ti
 }
 
 // Receive dequeues the oldest visible message (destination side). On a
-// remote channel a message still in flight is not yet receivable.
+// remote channel a message still in flight is not yet receivable. An empty
+// queue, or one whose head is in flight, returns the bare ErrQueueEmpty.
 func (c *QueuingChannel) Receive(to model.PartitionName, now tick.Ticks) ([]byte, error) {
 	if to != c.cfg.Destination.Partition {
 		return nil, fmt.Errorf("%w: %s receiving on %s", ErrNotDestination, to, c.cfg.Name)
 	}
 	if len(c.queue) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrQueueEmpty, c.cfg.Name)
+		return nil, ErrQueueEmpty
 	}
 	head := c.queue[0]
 	if now < head.sent+c.cfg.Latency {
-		return nil, fmt.Errorf("%w: %s (in flight)", ErrQueueEmpty, c.cfg.Name)
+		return nil, ErrQueueEmpty // the head message is still in flight
 	}
 	c.queue = c.queue[1:]
 	c.obs.Emit(obs.Event{Time: now, Kind: obs.KindPortReceive,

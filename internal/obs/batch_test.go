@@ -115,3 +115,38 @@ func TestSetBatchingFlushesOnDisable(t *testing.T) {
 		t.Fatal("bus still batching after disable")
 	}
 }
+
+// TestBatchingAllocatesOnFirstEmit pins the lazy staging buffer: enabling
+// batching allocates nothing, the buffer grows on staged emits but never
+// past batchCapacity, and every event still reaches the sink in FIFO order
+// across the capacity-full early flushes.
+func TestBatchingAllocatesOnFirstEmit(t *testing.T) {
+	bus := NewBus()
+	if allocs := testing.AllocsPerRun(100, func() { bus.SetBatching(true) }); allocs != 0 {
+		t.Fatalf("SetBatching(true) allocates %.1f/op, want 0", allocs)
+	}
+	if !bus.Batching() {
+		t.Fatal("Batching() = false after SetBatching(true)")
+	}
+	if bus.staged != nil {
+		t.Fatalf("staging buffer allocated before the first emit (cap %d)", cap(bus.staged))
+	}
+	var got []Event
+	bus.Attach(sinkFunc(func(e Event) { got = append(got, e) }))
+	const total = 1500
+	for i := 0; i < total; i++ {
+		bus.Emit(mkEvent(i))
+		if c := cap(bus.staged); c > batchCapacity {
+			t.Fatalf("after %d emits the staging buffer has capacity %d, above %d", i+1, c, batchCapacity)
+		}
+	}
+	bus.Flush()
+	if len(got) != total {
+		t.Fatalf("sink saw %d events, want %d", len(got), total)
+	}
+	for i, e := range got {
+		if e != mkEvent(i) {
+			t.Fatalf("event %d out of order: got time %d", i, e.Time)
+		}
+	}
+}

@@ -204,46 +204,51 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	return d
 }
 
-// Add returns the per-counter sum s + other — how campaign aggregation folds
-// the per-run snapshots of one scenario or fault class into a class total.
+// Add returns the per-counter sum s + other, sharing no storage with
+// either operand: the fold of s and then other into a zero Snapshot.
 func (s Snapshot) Add(other Snapshot) Snapshot {
-	t := Snapshot{
-		Events:            s.Events + other.Events,
-		DetectionLatency:  addHist(s.DetectionLatency, other.DetectionLatency),
-		WindowGap:         addHist(s.WindowGap, other.WindowGap),
-		MTTR:              addHist(s.MTTR, other.MTTR),
-		DegradedTicks:     addHist(s.DegradedTicks, other.DegradedTicks),
-		RestartDeferral:   addHist(s.RestartDeferral, other.RestartDeferral),
-		RestartsPerWindow: addHist(s.RestartsPerWindow, other.RestartsPerWindow),
-	}
-	if s.Counts != nil || other.Counts != nil {
-		t.Counts = make(map[string]uint64, len(s.Counts)+len(other.Counts))
-		for name, c := range s.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
-			t.Counts[name] += c
-		}
-		for name, c := range other.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
-			t.Counts[name] += c
-		}
-	}
+	var t Snapshot
+	t.Accumulate(&s)
+	t.Accumulate(&other)
 	return t
 }
 
-func addHist(a, b HistSnapshot) HistSnapshot {
-	t := HistSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum, Max: a.Max}
-	if b.Max > t.Max {
-		t.Max = b.Max
+// Accumulate folds o into s in place — how campaign aggregation sums the
+// per-run snapshots of one scenario or fault class into a class total. It
+// writes only s's own storage and never aliases o's.
+func (s *Snapshot) Accumulate(o *Snapshot) {
+	s.Events += o.Events
+	s.DetectionLatency.accumulate(&o.DetectionLatency)
+	s.WindowGap.accumulate(&o.WindowGap)
+	s.MTTR.accumulate(&o.MTTR)
+	s.DegradedTicks.accumulate(&o.DegradedTicks)
+	s.RestartDeferral.accumulate(&o.RestartDeferral)
+	s.RestartsPerWindow.accumulate(&o.RestartsPerWindow)
+	if o.Counts != nil && s.Counts == nil {
+		s.Counts = make(map[string]uint64, len(o.Counts))
 	}
-	if t.Count > 0 {
-		t.Mean = float64(t.Sum) / float64(t.Count)
+	for name, c := range o.Counts { //air:allow(maprange): commutative map-to-map sum; order-insensitive
+		s.Counts[name] += c
 	}
-	if n := max(len(a.Buckets), len(b.Buckets)); n > 0 {
-		t.Buckets = make([]uint64, n)
-		copy(t.Buckets, a.Buckets)
-		for i, v := range b.Buckets {
-			t.Buckets[i] += v
-		}
+}
+
+// accumulate folds o into h in place: counts and sums add, Max widens,
+// buckets add index-wise, growing h's into a fresh slice when o's is longer.
+func (h *HistSnapshot) accumulate(o *HistSnapshot) {
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+	if h.Count > 0 {
+		h.Mean = float64(h.Sum) / float64(h.Count)
 	}
-	return t
+	if len(o.Buckets) > len(h.Buckets) {
+		grown := make([]uint64, len(o.Buckets))
+		copy(grown, h.Buckets)
+		h.Buckets = grown
+	}
+	for i, v := range o.Buckets {
+		h.Buckets[i] += v
+	}
 }
 
 func subHist(a, b HistSnapshot) HistSnapshot {

@@ -303,22 +303,25 @@ type Sink interface {
 // in index order). Campaign workers each own a private spine.
 //
 // With batching enabled (SetBatching), sink delivery is deferred: Emit
-// stages events into a fixed preallocated buffer and Flush hands them to the
-// sinks in strict FIFO order — the module kernel flushes once per partition
-// window instead of paying the sink fan-out per event. The metrics registry
-// always observes immediately, so counter reads never need a flush; only
-// sink-visible state (the trace ring, streaming exporters) is deferred, and
-// every read path of those goes through Flush first.
+// stages events into a buffer allocated on the first staged emit, grown to
+// what one window needs and never past batchCapacity, and Flush hands them
+// to the sinks in strict FIFO order — the module kernel flushes once per
+// partition window instead of paying the sink fan-out per event. The
+// metrics registry always observes immediately, so counter reads never need
+// a flush; only sink-visible state (the trace ring, streaming exporters) is
+// deferred, and every read path of those goes through Flush first.
 type Bus struct {
 	metrics Metrics
 	sinks   []Sink
-	// staged is the batch buffer: nil when batching is off; emptied (length
-	// 0, capacity retained) by Flush. Appends never grow it past its initial
-	// capacity, so steady-state staging allocates nothing.
-	staged []Event
+	// batching records SetBatching's mode. staged is the batch buffer: nil
+	// until the first staged emit, emptied (length 0, capacity retained) by
+	// Flush. It grows to the largest window's event count, capped at
+	// batchCapacity, so once grown staging allocates nothing.
+	batching bool
+	staged   []Event
 }
 
-// batchCapacity is the staging buffer size: comfortably more events than the
+// batchCapacity caps the staging buffer: comfortably more events than the
 // spine produces in one partition window, so the capacity-full early flush
 // is the exception, not the rule.
 const batchCapacity = 512
@@ -326,8 +329,10 @@ const batchCapacity = 512
 // NewBus creates an empty spine.
 func NewBus() *Bus { return &Bus{} }
 
-// SetBatching enables or disables deferred sink delivery. Disabling flushes
-// whatever is staged, so no event is ever lost by toggling.
+// SetBatching enables or disables deferred sink delivery. Enabling
+// allocates nothing: the staging buffer is allocated by the first staged
+// emit. Disabling flushes whatever is staged, so no event is ever lost by
+// toggling.
 func (b *Bus) SetBatching(on bool) {
 	if b == nil {
 		return
@@ -335,15 +340,12 @@ func (b *Bus) SetBatching(on bool) {
 	if !on {
 		b.Flush()
 		b.staged = nil
-		return
 	}
-	if b.staged == nil {
-		b.staged = make([]Event, 0, batchCapacity)
-	}
+	b.batching = on
 }
 
 // Batching reports whether sink delivery is deferred.
-func (b *Bus) Batching() bool { return b != nil && b.staged != nil }
+func (b *Bus) Batching() bool { return b != nil && b.batching }
 
 // Flush delivers every staged event to the sinks in emission (FIFO) order.
 // It is a no-op when batching is off or nothing is staged.
@@ -359,6 +361,19 @@ func (b *Bus) Flush() {
 		}
 	}
 	b.staged = b.staged[:0]
+}
+
+// grow doubles the staging buffer's capacity, starting at 16 events and
+// capped at batchCapacity. Growth stops once the buffer holds the largest
+// window the spine has staged, so a steady run stages without allocating.
+// It stays out of line so the cold path does not enlarge Emit.
+//
+//go:noinline
+func (b *Bus) grow() {
+	n := min(max(2*cap(b.staged), 16), batchCapacity)
+	staged := make([]Event, len(b.staged), n)
+	copy(staged, b.staged)
+	b.staged = staged
 }
 
 // Attach adds a sink. Attaching a nil sink is a no-op.
@@ -383,11 +398,14 @@ func (b *Bus) Emit(e Event) {
 		return
 	}
 	b.metrics.observe(e)
-	if b.staged != nil {
-		if len(b.staged) == cap(b.staged) {
+	if b.batching {
+		switch len(b.staged) {
+		case batchCapacity:
 			b.Flush()
+		case cap(b.staged):
+			b.grow() //air:allow(call): cold branch — at most six growths per bus (16 → 512 events), then staging never allocates
 		}
-		b.staged = append(b.staged, e) //air:allow(alloc): capacity-bounded — Flush above guarantees room, so the append never grows the staging buffer
+		b.staged = append(b.staged, e) //air:allow(alloc): capacity-bounded — Flush or grow above guarantees room, so the append never reallocates
 		return
 	}
 	for _, s := range b.sinks {

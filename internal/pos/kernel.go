@@ -173,11 +173,21 @@ func (k *Kernel) Get(id ProcessID) (*Process, error) {
 
 // Lookup returns the process with the given name.
 func (k *Kernel) Lookup(name string) (*Process, error) {
-	id, ok := k.byName[name]
+	p, ok := k.Find(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchProcess, name)
 	}
-	return k.procs[id-1], nil
+	return p, nil
+}
+
+// Find returns the process with the given name and whether it exists — the
+// allocation-free form of Lookup for callers that only need to know.
+func (k *Kernel) Find(name string) (*Process, bool) {
+	id, ok := k.byName[name]
+	if !ok {
+		return nil, false
+	}
+	return k.procs[id-1], true
 }
 
 // Processes returns the process table τ_m in creation order.

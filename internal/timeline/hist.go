@@ -76,29 +76,37 @@ func (h *hist) snap() HistSnap {
 	return s
 }
 
-// Add merges two snapshots: counts and sums add, extrema widen, buckets add
-// index-wise. Campaign aggregation folds per-run histograms through it.
+// Add merges two snapshots into a fresh one: the fold of s and then o into
+// a zero HistSnap. Campaign aggregation folds per-run histograms through it.
 func (s HistSnap) Add(o HistSnap) HistSnap {
-	t := HistSnap{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	switch {
-	case s.Count == 0:
-		t.Min, t.Max = o.Min, o.Max
-	case o.Count == 0:
-		t.Min, t.Max = s.Min, s.Max
-	default:
-		t.Min, t.Max = min(s.Min, o.Min), max(s.Max, o.Max)
-	}
-	if t.Count > 0 {
-		t.Mean = float64(t.Sum) / float64(t.Count)
-	}
-	if n := max(len(s.Buckets), len(o.Buckets)); n > 0 {
-		t.Buckets = make([]uint64, n)
-		copy(t.Buckets, s.Buckets)
-		for i, v := range o.Buckets {
-			t.Buckets[i] += v
-		}
-	}
+	var t HistSnap
+	t.accumulate(&s)
+	t.accumulate(&o)
 	return t
+}
+
+// accumulate folds o into h in place: counts and sums add, extrema widen,
+// buckets add index-wise, growing h's into a fresh slice when o's is longer.
+func (h *HistSnap) accumulate(o *HistSnap) {
+	switch {
+	case h.Count == 0:
+		h.Min, h.Max = o.Min, o.Max
+	case o.Count != 0:
+		h.Min, h.Max = min(h.Min, o.Min), max(h.Max, o.Max)
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
+	if h.Count > 0 {
+		h.Mean = float64(h.Sum) / float64(h.Count)
+	}
+	if len(o.Buckets) > len(h.Buckets) {
+		grown := make([]uint64, len(o.Buckets))
+		copy(grown, h.Buckets)
+		h.Buckets = grown
+	}
+	for i, v := range o.Buckets {
+		h.Buckets[i] += v
+	}
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the log2 buckets: the

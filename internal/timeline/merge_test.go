@@ -193,3 +193,54 @@ func TestAddMatchesReference(t *testing.T) {
 		same(t, fmt.Sprintf("fold step %d", i), got, want)
 	}
 }
+
+// TestAccumulateMatchesReference pins the in-place fold to the same
+// reference: Accumulate of a pair into a zero Snapshot and a left fold of
+// Accumulate calls give the reference's entries and JSON, and no argument's
+// JSON changes, neither by its own fold nor by later folds into the sum.
+func TestAccumulateMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	mustJSON := func(s Snapshot) string {
+		t.Helper()
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	check := func(what string, got, want Snapshot) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Accumulate differs from the reference:\n got  %+v\n want %+v", what, got, want)
+		}
+		if g, w := mustJSON(got), mustJSON(want); g != w {
+			t.Fatalf("%s: JSON differs:\n got  %s\n want %s", what, g, w)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := randomSnapshot(r), randomSnapshot(r)
+		aj, bj := mustJSON(a), mustJSON(b)
+		want := addReference(a, b)
+		var got Snapshot
+		got.Accumulate(&a)
+		got.Accumulate(&b)
+		check(fmt.Sprintf("pair %d", i), got, want)
+		got.Accumulate(&b) // folding more into the sum must not write through to a or b
+		if mustJSON(a) != aj || mustJSON(b) != bj {
+			t.Fatalf("pair %d: Accumulate mutated an argument", i)
+		}
+	}
+	var got, want Snapshot
+	for i := 0; i < 250; i++ {
+		s := randomSnapshot(r)
+		before := mustJSON(s)
+		got.Accumulate(&s)
+		want = addReference(want, s)
+		if i%5 == 4 { // the fold grows to about 1,000 entries: compare every 5th step
+			check(fmt.Sprintf("fold step %d", i), got, want)
+		}
+		if mustJSON(s) != before {
+			t.Fatalf("fold step %d: Accumulate mutated its argument", i)
+		}
+	}
+}

@@ -22,10 +22,12 @@
 package timeline
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"air/internal/model"
 	"air/internal/obs"
@@ -701,37 +703,52 @@ func (t *Timeline) Snapshot() Snapshot {
 }
 
 // Add merges two snapshots (union of partitions and processes by key,
-// histograms and counters folded) — the campaign aggregation primitive.
+// histograms and counters folded), sharing no storage with either operand:
+// the fold of s and then o into a zero Snapshot.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	out := Snapshot{
-		Ticks:            s.Ticks + o.Ticks,
-		Schedule:         s.Schedule,
-		DeadlineMisses:   s.DeadlineMisses + o.DeadlineMisses,
-		EarlyWarnings:    s.EarlyWarnings + o.EarlyWarnings,
-		EarlyWarningLead: s.EarlyWarningLead.Add(o.EarlyWarningLead),
-		ModelViolations:  s.ModelViolations + o.ModelViolations,
-		Response:         s.Response.Add(o.Response),
-		Jitter:           s.Jitter.Add(o.Jitter),
-		Slack:            s.Slack.Add(o.Slack),
+	var out Snapshot
+	out.Accumulate(&s)
+	out.Accumulate(&o)
+	return out
+}
+
+// Accumulate folds o into s in place — the campaign aggregation primitive.
+// Partitions and processes merge by key: the core as one rune past '0',
+// then the partition (and process) names, '/'-separated. s's entries stay
+// in ascending key-byte order, and an entry of o whose key s already holds
+// folds into it, in o's order. An entry new to s is inserted as a copy
+// whose histogram buckets are cloned, so s never aliases o's storage.
+func (s *Snapshot) Accumulate(o *Snapshot) {
+	s.Ticks += o.Ticks
+	if s.Schedule == "" {
+		s.Schedule = o.Schedule
+	} else if o.Schedule != "" && o.Schedule != s.Schedule {
+		s.Schedule = "mixed"
 	}
-	if out.Schedule == "" {
-		out.Schedule = o.Schedule
-	} else if o.Schedule != "" && o.Schedule != out.Schedule {
-		out.Schedule = "mixed"
-	}
-	if s.Archive != nil || o.Archive != nil {
-		var a ArchiveSnap
-		for _, in := range []*ArchiveSnap{s.Archive, o.Archive} {
-			if in != nil {
-				a.Segments += in.Segments
-				a.Bytes += in.Bytes
-				a.Records += in.Records
-			}
+	s.DeadlineMisses += o.DeadlineMisses
+	s.EarlyWarnings += o.EarlyWarnings
+	s.EarlyWarningLead.accumulate(&o.EarlyWarningLead)
+	s.ModelViolations += o.ModelViolations
+	s.Response.accumulate(&o.Response)
+	s.Jitter.accumulate(&o.Jitter)
+	s.Slack.accumulate(&o.Slack)
+	if o.Archive != nil {
+		if s.Archive == nil {
+			s.Archive = &ArchiveSnap{}
 		}
-		out.Archive = &a
+		s.Archive.Segments += o.Archive.Segments
+		s.Archive.Bytes += o.Archive.Bytes
+		s.Archive.Records += o.Archive.Records
 	}
 
-	out.Partitions = mergeByKey(s.Partitions, o.Partitions, writePartKey, func(have, p *PartSnap) {
+	for i := range o.Partitions {
+		p := &o.Partitions[i]
+		at, found := searchKey(s.Partitions, p, cmpPartKey)
+		if !found {
+			s.Partitions = slices.Insert(s.Partitions, at, *p)
+			continue
+		}
+		have := &s.Partitions[at]
 		have.Windows += p.Windows
 		have.Supplied += p.Supplied
 		have.Shortfalls += p.Shortfalls
@@ -739,80 +756,102 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		if have.CycleTicks == 0 {
 			have.CycleTicks, have.BudgetTicks = p.CycleTicks, p.BudgetTicks
 		}
-	})
-	if out.Ticks > 0 {
-		for i := range out.Partitions {
-			out.Partitions[i].Utilization =
-				float64(out.Partitions[i].Supplied) / float64(out.Ticks)
+	}
+	if s.Ticks > 0 {
+		for i := range s.Partitions {
+			s.Partitions[i].Utilization = float64(s.Partitions[i].Supplied) / float64(s.Ticks)
 		}
 	}
-	out.Processes = mergeByKey(s.Processes, o.Processes, writeProcKey, func(have, p *ProcSnap) {
+	for i := range o.Processes {
+		p := &o.Processes[i]
+		at, found := searchKey(s.Processes, p, cmpProcKey)
+		if !found {
+			c := *p
+			c.Response.Buckets = slices.Clone(c.Response.Buckets)
+			c.Jitter.Buckets = slices.Clone(c.Jitter.Buckets)
+			c.Slack.Buckets = slices.Clone(c.Slack.Buckets)
+			s.Processes = slices.Insert(s.Processes, at, c)
+			continue
+		}
+		have := &s.Processes[at]
 		have.Releases += p.Releases
 		have.Completions += p.Completions
 		have.Misses += p.Misses
 		have.Warnings += p.Warnings
-		have.Response = have.Response.Add(p.Response)
-		have.Jitter = have.Jitter.Add(p.Jitter)
-		have.Slack = have.Slack.Add(p.Slack)
-	})
-	return out
+		have.Response.accumulate(&p.Response)
+		have.Jitter.accumulate(&p.Jitter)
+		have.Slack.accumulate(&p.Slack)
+	}
 }
 
-// mergeByKey unions a's and b's entries by key, in ascending key-byte
-// order: entries sharing a key fold into the first of them, in the order
-// they appear in a then b. writeKey renders each entry's key once into one
-// shared builder; the entries' positions are then sorted stably by key, so
-// neighbours sharing a key are exactly the entries to fold.
-func mergeByKey[T any](a, b []T, writeKey func(*strings.Builder, *T), fold func(have *T, e *T)) []T {
-	n := len(a) + len(b)
-	if n == 0 {
-		return nil // an empty union stays nil, which JSON renders as null
-	}
-	at := func(i int) *T {
-		if i < len(a) {
-			return &a[i]
+// searchKey binary-searches entries sorted by cmpKey for e's key: it
+// returns the entry's index and true, or the index where e belongs and
+// false.
+func searchKey[T any](entries []T, e *T, cmpKey func(a, b *T) int) (int, bool) {
+	lo, hi := 0, len(entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpKey(&entries[mid], e) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return &b[i-len(a)]
 	}
-	type ref struct{ start, end, i int }
-	refs := make([]ref, n)
-	var keys strings.Builder
-	for i := range refs {
-		start := keys.Len()
-		writeKey(&keys, at(i))
-		refs[i] = ref{start, keys.Len(), i}
+	return lo, lo < len(entries) && cmpKey(&entries[lo], e) == 0
+}
+
+// keyRune is the first rune of an entry's merge key: the core as one rune
+// past '0', with the replacement rune standing for an invalid one, as a
+// UTF-8 encoder writes it. UTF-8 preserves code-point order, so comparing
+// key runes compares the keys' leading bytes.
+func keyRune(core int) rune {
+	r := rune('0' + core)
+	if !utf8.ValidRune(r) {
+		return utf8.RuneError
 	}
-	all := keys.String()
-	key := func(r ref) string { return all[r.start:r.end] }
-	slices.SortStableFunc(refs, func(x, y ref) int { return strings.Compare(key(x), key(y)) })
-	out := make([]T, 0, n)
-	for i := 0; i < n; {
-		have := *at(refs[i].i)
-		j := i + 1
-		for ; j < n && key(refs[j]) == key(refs[i]); j++ {
-			fold(&have, at(refs[j].i))
+	return r
+}
+
+// cmpPartKey orders partition entries by the bytes of their merge key
+// without building it.
+func cmpPartKey(a, b *PartSnap) int {
+	if c := cmp.Compare(keyRune(a.Core), keyRune(b.Core)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Partition, b.Partition)
+}
+
+// cmpProcKey orders process entries by the bytes of their merge key
+// without building it.
+func cmpProcKey(a, b *ProcSnap) int {
+	if c := cmp.Compare(keyRune(a.Core), keyRune(b.Core)); c != 0 {
+		return c
+	}
+	return cmpJoined(a.Partition, a.Process, b.Partition, b.Process)
+}
+
+// cmpJoined compares ap+"/"+aq with bp+"/"+bq bytewise.
+func cmpJoined(ap, aq, bp, bq string) int {
+	if ap == bp {
+		return strings.Compare(aq, bq)
+	}
+	at := func(p, q string, i int) int {
+		switch {
+		case i < len(p):
+			return int(p[i])
+		case i == len(p):
+			return '/'
+		case i-len(p)-1 < len(q):
+			return int(q[i-len(p)-1])
 		}
-		out = append(out, have)
-		i = j
+		return -1 // past the end: a key sorts before its extensions
 	}
-	return out
-}
-
-// writePartKey and writeProcKey render the merge keys of Snapshot.Add:
-// the core as one rune past '0', then the partition (and process) names,
-// '/'-separated. Entries merge in the byte order of these keys.
-func writePartKey(b *strings.Builder, p *PartSnap) {
-	b.WriteRune(rune('0' + p.Core))
-	b.WriteByte('/')
-	b.WriteString(p.Partition)
-}
-
-func writeProcKey(b *strings.Builder, p *ProcSnap) {
-	b.WriteRune(rune('0' + p.Core))
-	b.WriteByte('/')
-	b.WriteString(p.Partition)
-	b.WriteByte('/')
-	b.WriteString(p.Process)
+	for i := 0; ; i++ {
+		x, y := at(ap, aq, i), at(bp, bq, i)
+		if x != y || x < 0 {
+			return cmp.Compare(x, y)
+		}
+	}
 }
 
 // WorstSlack returns the minimum observed completion slack in ticks and
